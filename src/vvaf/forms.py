@@ -109,6 +109,15 @@ class VVAF:
             return out, float(np.max(np.abs(self.P) @ tails))
         return out
 
+    def evaluate_many(self, taus) -> np.ndarray:
+        """Component vectors at a 1-d array of points, one row per point.
+
+        The vectorized form of :meth:`evaluate` (without tail estimates);
+        refuses the batch if any point has |q| > 0.995.
+        """
+        values = np.stack([comp.evaluate_many(taus) for comp in self.basis_components], axis=-1)
+        return values @ self.P.T
+
     def component_expansion(self, i: int) -> LogQExpansion:
         """The plain i-th component as a mixed-offset expansion."""
         acc = None

@@ -7,8 +7,15 @@ Mellin integral at a finite point and routing the lower piece through the
 inversion element, which is the numerical form of analytic continuation;
 its error estimate is a quadrature heuristic.
 
-Everything is pure; L-values over a grid of arguments can be computed
-concurrently.
+The form values at the quadrature nodes do not depend on s, so each
+quadrature rule evaluates the form once, in one vectorized batch per
+panel, and keeps nodes, weights and values in a memo on the form
+instance; every later Mellin integral with that rule, at any s, is one
+dot product.  The memo grows by one entry per (lower limit, rule) pair.
+
+Everything is pure: the memo holds only values computed from the
+immutable form, so L-values over a grid of arguments can be computed
+concurrently, and a race can at worst compute an entry twice.
 """
 
 from __future__ import annotations
@@ -51,6 +58,42 @@ class LValue:
         }
 
 
+def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
+    """One pass over the coefficients of every slot, and the truncation error.
+
+    Returns the per-slot sums (i, j, sum over n <= n_terms) in slot order,
+    their per-component totals, the error estimate and whether it is
+    rigorous.
+    """
+    basis_values = np.zeros(X.m, dtype=complex)
+    basis_half = np.zeros(X.m, dtype=complex)
+    slot_sums = []
+    max_ratio = 0.0
+    sigma = X.k / 2.0 + alpha
+    half = n_terms // 2
+    for i, off, j, series in X.log_slots():
+        coeffs = series.coefficients_on_offset(off, n_terms)
+        ns = np.arange(n_terms + 1) + float(off)
+        good = ns > 0
+        terms = coeffs[good] * ns[good] ** (-(s + j))
+        full = np.sum(terms)
+        slot_sums.append((i, j, full))
+        basis_values[i] += full
+        basis_half[i] += np.sum(terms[: int(np.sum(good[: half + 1]))])
+        nz = np.abs(coeffs[good]) > 0
+        if np.any(nz):
+            max_ratio = max(max_ratio, float(np.max(np.abs(coeffs[good][nz]) / ns[good][nz] ** sigma)))
+    rigorous = s.real > sigma + 1.0
+    if rigorous:
+        # |c_n| <= C n^sigma bounds the tail by C integral_N^inf x^(sigma - Re s) dx
+        scale = float(np.max(np.abs(X.P))) * max(1.0, X.m)
+        error = max_ratio * n_terms ** (sigma - s.real + 1.0) / (s.real - sigma - 1.0) * scale
+    else:
+        # heuristic: movement of the partial sums over the second half
+        error = float(np.max(np.abs(X.P @ (basis_values - basis_half))))
+    return slot_sums, basis_values, error, rigorous
+
+
 def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) -> LValue:
     """Truncated coefficient sum over the shifted integers.
 
@@ -63,34 +106,10 @@ def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) ->
     if not X.cusp_form:
         raise ValueError("the coefficient sum is defined here for cusp forms only")
     s = complex(s)
-    m = X.m
-    basis_values = np.zeros(m, dtype=complex)
-    basis_half = np.zeros(m, dtype=complex)
-    max_ratio = 0.0
-    sigma = X.k / 2.0 + alpha
-    half = n_terms // 2
-    for i, off, j, series in X.log_slots():
-        coeffs = series.coefficients_on_offset(off, n_terms)
-        ns = np.arange(n_terms + 1) + float(off)
-        good = ns > 0
-        terms = coeffs[good] * ns[good] ** (-(s + j))
-        basis_values[i] += np.sum(terms)
-        basis_half[i] += np.sum(terms[: int(np.sum(good[: half + 1]))])
-        nz = np.abs(coeffs[good]) > 0
-        if np.any(nz):
-            max_ratio = max(max_ratio, float(np.max(np.abs(coeffs[good][nz]) / ns[good][nz] ** sigma)))
-    value = X.P @ basis_values
-    rigorous = s.real > sigma + 1.0
-    scale = float(np.max(np.abs(X.P))) * max(1.0, m)
-    if rigorous:
-        # |c_n| <= C n^sigma bounds the tail by C integral_N^inf x^(sigma - Re s) dx
-        error = max_ratio * n_terms ** (sigma - s.real + 1.0) / (s.real - sigma - 1.0) * scale
-    else:
-        # heuristic: movement of the partial sums over the second half
-        error = float(np.max(np.abs(X.P @ (basis_values - basis_half))))
+    _, basis_values, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
     return LValue(
         s=s,
-        value=value,
+        value=X.P @ basis_values,
         method="truncated-sum",
         error=error,
         rigorous=rigorous,
@@ -107,48 +126,72 @@ def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float
     if not X.cusp_form:
         raise ValueError("completion requires a cusp form")
     s = complex(s)
+    slot_sums, _, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
     basis_values = np.zeros(X.m, dtype=complex)
-    for i, off, j, series in X.log_slots():
-        coeffs = series.coefficients_on_offset(off, n_terms)
-        ns = np.arange(n_terms + 1) + float(off)
-        good = ns > 0
-        partial = np.sum(coeffs[good] * ns[good] ** (-(s + j)))
-        basis_values[i] += (-1) ** j * complex_gamma(s + j) * partial
+    for i, j, full in slot_sums:
+        basis_values[i] += (-1) ** j * complex_gamma(s + j) * full
     value = (2.0 * math.pi) ** (-s) * (X.P @ basis_values)
-    base = dirichlet_L(X, s, n_terms=n_terms, alpha=alpha)
     gamma_scale = abs((2.0 * math.pi) ** (-s) * complex_gamma(s))
     return LValue(
         s=s,
         value=value,
         method="truncated-sum",
-        error=base.error * gamma_scale,
-        rigorous=base.rigorous,
+        error=error * gamma_scale,
+        rigorous=rigorous,
         n_terms=n_terms,
     )
 
 
 def _decay_rate(X: VVAF) -> float:
-    # at tau = i h y the nome is exp(-2 pi y) regardless of the width
-    lead = min(min(comp.occupied_exponents()) for comp in X.basis_components)
+    # at tau = i h y the nome is exp(-2 pi y) regardless of the width;
+    # normalized series store no leading zero, so the lead is the lowest
+    # occupied exponent
+    lead = min(
+        series.leading_exponent
+        for comp in X.basis_components
+        for series in comp.terms.values()
+        if not series.is_zero()
+    )
     return 2.0 * math.pi * float(lead)
 
 
-def _upper_mellin(X: VVAF, s: complex, lower: float, n_panels: int, nodes_per_panel: int) -> np.ndarray:
-    """integral_lower^infinity X(i h y) y^(s-1) dy by panelled Gauss-Legendre."""
+def _node_set(X: VVAF, lower: float, n_panels: int, nodes_per_panel: int) -> tuple:
+    """Nodes, weights and form values X(i h y) of the panelled rule above ``lower``.
+
+    None of them depends on s, so they are computed once per rule and
+    memoized on the form, keyed by (lower, n_panels, nodes_per_panel).
+    The entries are read-only values; two threads racing on a key compute
+    it twice and keep either result.
+    """
+    memo = vars(X).setdefault("_mellin_nodes", {})
+    key = (lower, n_panels, nodes_per_panel)
+    entry = memo.get(key)
+    if entry is not None:
+        return entry
     rate = _decay_rate(X)
     upper = lower + max(46.0 / rate, 4.0)  # exp(-46) is below double noise
     nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
     # geometric panels put more resolution near the lower endpoint where
     # y^(s-1) varies fastest
     edges = np.geomspace(lower, upper, n_panels + 1)
-    total = np.zeros(X.m, dtype=complex)
-    for left, right in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        ys = mid + half * nodes
-        values = np.stack([X.evaluate(complex(0.0, X.h * y)) for y in ys])
-        total += half * np.sum(values * (ys ** (s - 1.0))[:, None] * weights[:, None], axis=0)
-    return total
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    ys = (mids[:, None] + halves[:, None] * nodes).ravel()
+    ws = (halves[:, None] * weights).ravel()
+    # one panel per product keeps the exp(outer) temporary near a megabyte
+    values = np.concatenate(
+        [X.evaluate_many(1j * X.h * ys[i : i + nodes_per_panel]) for i in range(0, len(ys), nodes_per_panel)]
+    )
+    for array in (ys, ws, values):
+        array.setflags(write=False)
+    entry = memo[key] = (ys, ws, values)
+    return entry
+
+
+def _upper_mellin(X: VVAF, s: complex, lower: float, n_panels: int, nodes_per_panel: int) -> np.ndarray:
+    """integral_lower^infinity X(i h y) y^(s-1) dy by panelled Gauss-Legendre."""
+    ys, ws, values = _node_set(X, lower, n_panels, nodes_per_panel)
+    return (ws * ys ** (s - 1.0)) @ values
 
 
 def _split_mellin_value(X: VVAF, s: complex, split: float, n_panels: int, nodes_per_panel: int) -> np.ndarray:
@@ -180,8 +223,8 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0, n_panels: int = 24, nod
     return LValue(s=s, value=refined, method="split-mellin", error=error, rigorous=False)
 
 
-def functional_equation_residual(X: VVAF, s: complex, sign: int, split: float = 1.3, **quad_kwargs) -> float:
-    """Norm of rho(S) Lambda(s) - sign (h i)^-k h^(2k-2s) Lambda(k-s).
+def _fe_residuals(X: VVAF, s: complex, split: float, quad_kwargs: dict) -> tuple:
+    """Norms of rho(S) Lambda(s) -/+ (h i)^-k h^(2k-2s) Lambda(k-s), as (plus, minus).
 
     Both completed values are computed with the same non-unit split; at
     split exactly 1 the two sides would agree identically by construction
@@ -192,24 +235,34 @@ def functional_equation_residual(X: VVAF, s: complex, sign: int, split: float = 
     s = complex(s)
     h = X.h
     rho_S = X.rep.evaluate(gen_s())
-    left = completed_L(X, s, split=split, **quad_kwargs)
-    right = completed_L(X, X.k - s, split=split, **quad_kwargs)
-    factor = sign * (h * 1j) ** (-X.k) * complex(h) ** (2.0 * X.k - 2.0 * s)
-    return float(np.linalg.norm(rho_S @ left.value - factor * right.value))
+    left = rho_S @ completed_L(X, s, split=split, **quad_kwargs).value
+    right = completed_L(X, X.k - s, split=split, **quad_kwargs).value
+    factor = (h * 1j) ** (-X.k) * complex(h) ** (2.0 * X.k - 2.0 * s)
+    plus = float(np.linalg.norm(left - factor * right))
+    minus = float(np.linalg.norm(left + factor * right))
+    return plus, minus
+
+
+def functional_equation_residual(X: VVAF, s: complex, sign: int, split: float = 1.3, **quad_kwargs) -> float:
+    """Norm of rho(S) Lambda(s) - sign (h i)^-k h^(2k-2s) Lambda(k-s).
+
+    ``sign`` is +1 or -1; a split of 1 is rejected (see the sign scan).
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    plus, minus = _fe_residuals(X, s, split, quad_kwargs)
+    return plus if sign == 1 else minus
 
 
 def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6, split: float = 1.3, **quad_kwargs) -> dict:
-    """Evaluate both signs over a grid and report which one vanishes."""
-    h = X.h
-    rho_S = X.rep.evaluate(gen_s())
+    """Evaluate both signs over a grid and report which one vanishes.
+
+    The split must differ from 1, where both residuals would be empty
+    comparisons.
+    """
     rows = []
     for s in s_grid:
-        s = complex(s)
-        left = completed_L(X, s, split=split, **quad_kwargs)
-        right = completed_L(X, X.k - s, split=split, **quad_kwargs)
-        factor = (h * 1j) ** (-X.k) * complex(h) ** (2.0 * X.k - 2.0 * s)
-        plus = float(np.linalg.norm(rho_S @ left.value - factor * right.value))
-        minus = float(np.linalg.norm(rho_S @ left.value + factor * right.value))
+        plus, minus = _fe_residuals(X, s, split, quad_kwargs)
         rows.append({"s": complex(s), "residual_plus": plus, "residual_minus": minus})
     plus_ok = all(row["residual_plus"] < tol for row in rows)
     minus_ok = all(row["residual_minus"] < tol for row in rows)

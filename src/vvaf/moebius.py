@@ -502,46 +502,39 @@ def eichler_shift(g: GroupElement, h: int = 1) -> tuple:
 # -- coset machinery --------------------------------------------------------
 
 
+def _transversal(group: SubgroupDescriptor, side: str) -> list:
+    """Coset representatives by breadth-first search over the generators.
+
+    ``side`` 'left' gives g_i with PSL2(Z) the disjoint union of g_i H,
+    'right' gives the union of H g_i.  The group acts on left cosets by
+    left multiplication and on right cosets by right multiplication, so
+    candidates are gen * r and r * gen respectively.  The first
+    representative is the identity.
+    """
+    left = side == "left"
+    reps = [identity()]
+    frontier = [identity()]
+    gens = (gen_s(), gen_t(), gen_t().inverse())
+    while frontier and len(reps) < group.index:
+        nxt = []
+        for r in frontier:
+            for gen in gens:
+                cand = gen * r if left else r * gen
+                if not any(group.contains(k.inverse() * cand if left else cand * k.inverse()) for k in reps):
+                    reps.append(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    if len(reps) != group.index:
+        raise ValueError(f"transversal search found {len(reps)} cosets, expected {group.index}")
+    return reps
+
+
 def left_transversal(group: SubgroupDescriptor) -> list:
     """Coset representatives g_i with PSL2(Z) the disjoint union of g_i H.
 
-    Breadth-first search over right multiplication by the generators; the
-    first representative is the identity.
+    The first representative is the identity.
     """
-    reps = [identity()]
-    frontier = [identity()]
-    gens = (gen_s(), gen_t(), gen_t().inverse())
-    while frontier and len(reps) < group.index:
-        nxt = []
-        for r in frontier:
-            for gen in gens:
-                cand = r * gen
-                if not any(group.contains(known.inverse() * cand) for known in reps):
-                    reps.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    if len(reps) != group.index:
-        raise ValueError(f"transversal search found {len(reps)} cosets, expected {group.index}")
-    return reps
-
-
-def _right_transversal(group: SubgroupDescriptor) -> list:
-    """Representatives g_i with PSL2(Z) the disjoint union of H g_i."""
-    reps = [identity()]
-    frontier = [identity()]
-    gens = (gen_s(), gen_t(), gen_t().inverse())
-    while frontier and len(reps) < group.index:
-        nxt = []
-        for r in frontier:
-            for gen in gens:
-                cand = r * gen
-                if not any(group.contains(cand * known.inverse()) for known in reps):
-                    reps.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    if len(reps) != group.index:
-        raise ValueError(f"transversal search found {len(reps)} cosets, expected {group.index}")
-    return reps
+    return _transversal(group, "left")
 
 
 def cusp_classes(group: SubgroupDescriptor) -> list:
@@ -552,7 +545,7 @@ def cusp_classes(group: SubgroupDescriptor) -> list:
     orbit length is the width and the conjugated translation generates the
     stabilizer of the representative cusp.
     """
-    reps = _right_transversal(group)
+    reps = _transversal(group, "right")
 
     def same_right_coset(x: GroupElement, y: GroupElement) -> bool:
         return group.contains(x * y.inverse())

@@ -119,13 +119,15 @@ class FracQSeries:
                 f"requested exponent {nmax + offset} beyond truncation order {self.order}"
             )
         out = np.zeros(nmax + 1, dtype=complex)
-        for n in range(nmax + 1):
-            num = (offset + n) * self.D
-            if num.denominator != 1:
-                continue
-            j = int(num) - self.start
-            if 0 <= j < len(self.coeffs):
-                out[n] = self.coeffs[j]
+        num = offset * self.D
+        if num.denominator != 1:
+            return out  # the offset misses the exponent grid
+        # exponent n + offset sits at index j0 + n D; keep the n inside the stored range
+        j0 = int(num) - self.start
+        lo = max(0, -(j0 // self.D))
+        hi = min(nmax, (len(self.coeffs) - 1 - j0) // self.D)
+        if lo <= hi:
+            out[lo : hi + 1] = self.coeffs[j0 + lo * self.D : j0 + hi * self.D + 1 : self.D]
         return out
 
     # -- evaluation -----------------------------------------------------------
@@ -147,6 +149,24 @@ class FracQSeries:
         if with_tail:
             return value, self._tail(q_abs)
         return value
+
+    def evaluate_many(self, taus) -> np.ndarray:
+        """Values at an array of points, as :meth:`evaluate` gives them one by one.
+
+        One matrix product exp(outer(w, exponents)) @ coeffs; its one
+        temporary holds len(taus) * len(self) complex numbers, so callers
+        chunk large batches.  Refuses the batch if any point has |q| > 0.995.
+        """
+        taus = np.asarray(taus, dtype=complex)
+        q_abs = np.exp(-2 * math.pi * taus.imag / self.h)
+        if np.any(q_abs > _Q_ABS_LIMIT):
+            raise ValueError(f"|q| = {float(np.max(q_abs)):.4f} too close to 1; move tau upward")
+        if self.is_zero():
+            return np.zeros(taus.shape, dtype=complex)
+        w = 2j * math.pi * taus / (self.h * self.D)
+        exponents = self.start + np.arange(len(self.coeffs))
+        phases = np.multiply.outer(w, exponents)
+        return np.exp(phases, out=phases) @ self.coeffs
 
     def _tail(self, q_abs: float) -> float:
         if self.order is None:
@@ -575,6 +595,15 @@ class LogQExpansion:
             else:
                 value += weight * series.evaluate(tau)
         return (value, tail) if with_tail else value
+
+    def evaluate_many(self, taus) -> np.ndarray:
+        """Values at an array of points; see :meth:`FracQSeries.evaluate_many`."""
+        taus = np.asarray(taus, dtype=complex)
+        log_q = 2j * math.pi * taus / self.h
+        value = np.zeros(taus.shape, dtype=complex)
+        for j, series in self.terms.items():
+            value += log_q**j * series.evaluate_many(taus)
+        return value
 
     def __call__(self, tau: complex) -> complex:
         return self.evaluate(tau)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from vvaf.forms import (
+    BUILTIN_FORMS,
     VVAF,
     assemble_vvaf,
     builtin_form,
@@ -93,6 +94,40 @@ class TestEvaluation:
                 rhs_vec, tail2 = X.evaluate(tau, with_tail=True)
                 rhs = mat_t @ rhs_vec
                 assert np.linalg.norm(lhs - rhs) <= max(1e-10, 10 * (tail1 + tail2))
+
+
+def _term_scale(X, tau):
+    """Sum of the moduli of the terms behind X(tau), times the largest |P| entry.
+
+    Rounding in a sum scales with this, not with the sum, which for the
+    weight-12 form cancels to far less near the real line.
+    """
+    total = 0.0
+    for comp in X.basis_components:
+        log_q = abs(2 * math.pi * tau / comp.h)
+        for j, series in comp.terms.items():
+            exponents = (series.start + np.arange(len(series))) / series.D
+            total += log_q**j * np.sum(np.abs(series.coeffs) * np.exp(-2 * math.pi * tau.imag * exponents / series.h))
+    return total * float(np.max(np.abs(X.P)))
+
+
+class TestEvaluateMany:
+    def test_rows_match_evaluate(self):
+        rng = np.random.default_rng(211)
+        taus = rng.uniform(-1.0, 1.0, 30) + 1j * np.exp(rng.uniform(math.log(0.05), math.log(10.0), 30))
+        for name in BUILTIN_FORMS:
+            X = builtin_form(name)
+            rows = X.evaluate_many(taus)
+            assert rows.shape == (len(taus), X.m)
+            for tau, row in zip(taus, rows):
+                single = X.evaluate(complex(tau))
+                scale = max(float(np.max(np.abs(single))), _term_scale(X, complex(tau)))
+                assert np.max(np.abs(row - single)) <= 1e-13 * scale
+
+    def test_refuses_near_real_line(self):
+        X = delta_form(200)
+        with pytest.raises(ValueError):
+            X.evaluate_many([1j, 0.3 + 1e-4j])
 
 
 class TestTransformation:

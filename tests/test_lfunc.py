@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import gamma as complex_gamma
 
-from vvaf.forms import assemble_vvaf, delta_form, eta4_theta_eta_form
+from vvaf.forms import BUILTIN_FORMS, VVAF, assemble_vvaf, builtin_form, delta_form, eta4_theta_eta_form
 from vvaf.lfunc import (
+    _decay_rate,
     completed_L,
     completed_dirichlet_L,
     dirichlet_L,
@@ -111,6 +112,28 @@ class TestCompleted:
         with pytest.raises(ValueError):
             completed_L(X, 2)
 
+    def test_decay_rate_from_leading_exponents(self):
+        for name in BUILTIN_FORMS:
+            X = builtin_form(name)
+            lowest = min(min(comp.occupied_exponents()) for comp in X.basis_components)
+            assert _decay_rate(X) == 2.0 * math.pi * float(lowest)
+
+    def test_node_values_shared_across_calls(self):
+        # the sign scan fills the form's node memo at split 1.3 and its
+        # mirror; later calls reading it must match a form with no memo
+        D = delta_form(400)
+
+        def fresh():
+            return VVAF(D.k, D.rep, D.basis_components, mu_offsets=D.mu_offsets)
+
+        scanned = fresh()
+        functional_equation_sign(scanned, [5, 7])
+        for s, split in ((7, 1.3), (5, 1.3), (6 + 3j, 1.3), (8, 1.0)):
+            a = completed_L(fresh(), s, split=split)
+            b = completed_L(scanned, s, split=split)
+            assert np.array_equal(a.value, b.value)
+            assert a.error == b.error
+
 
 class TestFunctionalEquation:
     def test_delta_center_and_off_center(self):
@@ -141,6 +164,13 @@ class TestFunctionalEquation:
         D = delta_form(200)
         with pytest.raises(ValueError):
             functional_equation_residual(D, 7, +1, split=1.0)
+        with pytest.raises(ValueError):
+            functional_equation_sign(D, [7], split=1.0)
+
+    def test_sign_must_be_unit(self):
+        D = delta_form(200)
+        with pytest.raises(ValueError):
+            functional_equation_residual(D, 7, 0)
 
 
 class TestLogarithmicVariant:

@@ -158,10 +158,62 @@ class TestEvaluation:
         # truncation is inside the tail bound; double rounding adds its own floor
         assert abs(value - reference) <= max(10 * tail, 1e-15 * abs(value))
 
+    def test_evaluate_many_refuses_near_real_line(self):
+        eta = eta_series(10)
+        with pytest.raises(ValueError):
+            eta.evaluate_many([1j, 0.5 + 1e-6j])
+        with pytest.raises(ValueError):
+            FracQSeries.zero().evaluate_many([0.5 + 1e-6j])
+
     def test_exact_series_zero_tail(self):
         exact = FracQSeries(1, 2, 1, [1.0])
         _, tail = exact.evaluate(1j, with_tail=True)
         assert tail == 0.0
+
+
+def _coefficients_on_offset_loop(series, offset, nmax):
+    """The per-n read that the strided slice replaced, kept as the reference."""
+    offset = Fraction(offset)
+    if series.order is not None and nmax + offset >= series.order:
+        raise ValueError("beyond the truncation order")
+    out = np.zeros(nmax + 1, dtype=complex)
+    for n in range(nmax + 1):
+        num = (offset + n) * series.D
+        if num.denominator != 1:
+            continue
+        j = int(num) - series.start
+        if 0 <= j < len(series.coeffs):
+            out[n] = series.coeffs[j]
+    return out
+
+
+class TestCoefficientsOnOffset:
+    def test_slice_matches_loop(self):
+        rng = np.random.default_rng(29)
+        # exact series (reads run past the stored terms) and truncated ones, D = 1, 8, 24
+        all_series = [
+            FracQSeries(1, 1, 3, rng.normal(size=20)),
+            FracQSeries(1, 8, 5, rng.normal(size=70) + 1j * rng.normal(size=70)),
+            FracQSeries(1, 24, -7, rng.normal(size=200)),
+            eta_series(20),
+            theta_series(2, 12),
+        ]
+        offsets = [0, Fraction(1, 24), Fraction(5, 8), Fraction(-7, 24), Fraction(3, 8), -3, 4, 40]
+        offsets += [Fraction(1, 5), Fraction(1, 48), Fraction(-2, 7)]  # off every grid above
+        for series in all_series:
+            assert series.D in (1, 8, 24)
+            for offset in offsets:
+                for nmax in (0, 1, 5, 9, 60):
+                    if series.order is not None and nmax + offset >= series.order:
+                        continue
+                    expected = _coefficients_on_offset_loop(series, offset, nmax)
+                    assert np.array_equal(series.coefficients_on_offset(offset, nmax), expected)
+
+    def test_order_error(self):
+        eta = eta_series(10)
+        eta.coefficients_on_offset(Fraction(1, 24), 10)
+        with pytest.raises(ValueError):
+            eta.coefficients_on_offset(Fraction(1, 24), 11)
 
 
 class TestCoefficientIntegral:

@@ -6,6 +6,7 @@ import pytest
 
 from vvaf.moebius import (
     GroupElement,
+    gamma0_n,
     gamma_n,
     gen_s,
     gen_t,
@@ -253,6 +254,14 @@ class TestInduce:
             assert np.allclose(np.sum(binary, axis=0), 1.0)
         eigs = np.linalg.eigvals(induced.mat_t)
         assert np.allclose(np.abs(eigs), 1.0, atol=1e-10)
+
+    def test_gamma0_permutation_representation(self):
+        # Gamma0(N) is not normal, so only a transversal of left cosets works
+        for level in (7, 11):
+            group = gamma0_n(level)
+            induced = induce(builtin("trivial", group=group), left_transversal(group))
+            assert induced.m == group.index
+            assert validate(induced).passed
 
     def test_block_pattern_random_elements(self):
         group = gamma_n(2)
