@@ -47,7 +47,6 @@ class RunConfig:
     """
 
     n_terms: int = 200  # series truncation order
-    quad_samples: int = 256  # trapezoid/quadrature sample count
     tolerance: float = 1e-8  # residual tolerance for verification verdicts
     seed: int = 0  # sampler seed, echoed into artifacts
     out_dir: str = "."  # artifact directory

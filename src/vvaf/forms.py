@@ -72,21 +72,21 @@ class VVAF:
         if len(widths) != 1:
             raise ValueError("all component expansions must share one width")
         self.h = widths.pop()
+        grids = [_grids(comp) for comp in self.basis_components]
         if mu_offsets is None:
-            mu_offsets = [_lead_offset(comp) for comp in self.basis_components]
+            mu_offsets = [_lead_offset(grid) for grid in grids]
         self.mu_offsets = [Fraction(x) for x in mu_offsets]
-        for comp, off in zip(self.basis_components, self.mu_offsets):
-            for e in comp.occupied_exponents():
-                if (e - off).denominator != 1:
-                    raise ValueError(
-                        f"component exponent {e} is not an integer shift of its offset {off}"
-                    )
-        self.holomorphic_at_infinity = all(
-            e >= 0 for comp in self.basis_components for e in comp.occupied_exponents()
-        )
-        self.cusp_form = all(
-            e > 0 for comp in self.basis_components for e in comp.occupied_exponents()
-        )
+        for comp, grid, off in zip(self.basis_components, grids, self.mu_offsets):
+            # every exponent is lead + j/D over the occupied indices j, and
+            # stride/D is integral exactly when D divides all of them
+            if any((lead - off).denominator != 1 or stride % D for lead, stride, D in grid):
+                e = next(e for e in comp.occupied_exponents() if (e - off).denominator != 1)
+                raise ValueError(
+                    f"component exponent {e} is not an integer shift of its offset {off}"
+                )
+        leads = [lead for grid in grids for lead, _, _ in grid]
+        self.holomorphic_at_infinity = all(lead >= 0 for lead in leads)
+        self.cusp_form = all(lead > 0 for lead in leads)
         self.is_logarithmic = any(comp.max_log_power() > 0 for comp in self.basis_components)
 
     @property
@@ -184,11 +184,24 @@ class VVAF:
         return VVAF(data["weight"], rep, comps, diagonalizer=P, mu_offsets=offsets)
 
 
-def _lead_offset(comp: LogQExpansion) -> Fraction:
-    exps = comp.occupied_exponents()
-    if not exps:
+def _grids(comp: LogQExpansion) -> list:
+    """(lowest exponent, index stride, D) of every nonzero series of ``comp``.
+
+    Normalized series store a nonzero coefficient at index 0, so the
+    lowest exponent is start/D and the gcd of the occupied indices is the
+    stride of the gaps between them (0 for a single term).
+    """
+    return [
+        (Fraction(series.start, series.D), int(np.gcd.reduce(np.flatnonzero(series.coeffs))), series.D)
+        for series in comp.terms.values()
+        if not series.is_zero()
+    ]
+
+
+def _lead_offset(grid: list) -> Fraction:
+    if not grid:
         return Fraction(0)
-    lead = min(exps)
+    lead = min(lead for lead, _, _ in grid)
     return lead - math.floor(lead)
 
 

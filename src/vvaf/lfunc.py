@@ -78,7 +78,10 @@ def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
     movement between two fixed cutoffs, which is why the whole second half
     is scanned.  Nothing proves this estimate; it is measured against the
     split-Mellin value over a grid near the critical line (see the tests).
+    Refuses a cutoff below one term.
     """
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     basis_values = np.zeros(X.m, dtype=complex)
     slot_sums = []
     max_ratio = 0.0

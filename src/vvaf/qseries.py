@@ -51,19 +51,20 @@ class FracQSeries:
     ``order`` is the exponent up to which the stored coefficients are
     complete (exclusive); ``None`` marks an exact series with no tail.
     Construction trims zero fringes and reduces the grid so that the
-    denominator and the occupied indices share no common factor.
+    denominator and the occupied indices share no common factor.  A
+    nonzero series therefore stores a nonzero coefficient at index 0, and
+    its lowest exponent is start/D.
     """
 
     __slots__ = ("h", "D", "start", "coeffs", "order")
 
-    def __init__(self, h: int, D: int, start: int, coeffs, order=None, normalize: bool = True):
+    def __init__(self, h: int, D: int, start: int, coeffs, order=None):
         coeffs = np.array(coeffs, dtype=complex)  # own copy: the series is immutable
         if h < 1 or D < 1:
             raise ValueError("width and exponent denominator must be positive")
         if order is not None:
             order = Fraction(order)
-        if normalize:
-            h, D, start, coeffs, order = _normalize(h, D, start, coeffs, order)
+        h, D, start, coeffs, order = _normalize(h, D, start, coeffs, order)
         self.h = h
         self.D = D
         self.start = int(start)
@@ -87,9 +88,6 @@ class FracQSeries:
                 raise ValueError("the exact zero series has no leading exponent")
             return self.order
         return Fraction(self.start, self.D)
-
-    def exponents(self) -> list:
-        return [Fraction(self.start + j, self.D) for j in range(len(self.coeffs))]
 
     def occupied(self) -> list:
         """(exponent, coefficient) pairs of the nonzero stored terms."""
@@ -241,12 +239,13 @@ class FracQSeries:
 
 def _normalize(h, D, start, coeffs, order):
     # trim the zero fringe
-    nz = np.flatnonzero(np.abs(coeffs) != 0)
+    nz = np.flatnonzero(coeffs)
     if len(nz) == 0:
         return h, 1, 0, np.zeros(0, dtype=complex), order
     lo, hi = int(nz[0]), int(nz[-1])
     coeffs = coeffs[lo : hi + 1]
     start += lo
+    nz = nz - lo
     # drop stored terms at or beyond the truncation order
     if order is not None:
         keep = math.ceil(order * D - start)  # indices j with (start+j)/D < order
@@ -254,19 +253,14 @@ def _normalize(h, D, start, coeffs, order):
         coeffs = coeffs[:keep]
         if len(coeffs) == 0:
             return h, 1, 0, np.zeros(0, dtype=complex), order
-    # reduce the exponent grid
-    occupied = [start + int(j) for j in np.flatnonzero(np.abs(coeffs) != 0)]
-    g = D
-    for idx in occupied:
-        g = math.gcd(g, idx)
-        if g == 1:
-            break
+        nz = nz[nz < keep]
+    # reduce the exponent grid; index 0 is occupied, so every occupied
+    # index is a multiple of g and the reduced grid starts at start/g
+    g = math.gcd(D, start, int(np.gcd.reduce(nz)))
     if g > 1:
-        length = (occupied[-1] - occupied[0]) // g + 1
-        reduced = np.zeros(length, dtype=complex)
-        for idx in occupied:
-            reduced[(idx - occupied[0]) // g] = coeffs[idx - start]
-        coeffs, start, D = reduced, occupied[0] // g, D // g
+        reduced = coeffs[: nz[-1] + 1 : g]
+        # unoccupied slots read +0, whatever the sign of the zero they held
+        coeffs, start, D = np.where(reduced != 0, reduced, 0), start // g, D // g
     return h, D, start, np.ascontiguousarray(coeffs), order
 
 
@@ -389,12 +383,20 @@ def _div(f: FracQSeries, g: FracQSeries) -> FracQSeries:
         n_terms = len(fa)
     if n_terms <= 0:
         return FracQSeries.zero(f.h, order=order)
-    out = np.zeros(n_terms, dtype=complex)
     g0 = ga[0]
     fa_padded = np.zeros(n_terms, dtype=complex)
     take = min(n_terms, len(fa))
     fa_padded[:take] = fa[:take]
-    for k in range(n_terms):
+    # the divisor couples only indices in one residue class mod its stride,
+    # so a class where the dividend vanishes keeps fa / g0 (a signed zero)
+    # and the recurrence runs on the other classes only; each dot still
+    # reads the full dense prefix, so the sums are grouped as in the dense
+    # recurrence and the quotient is the same to the last bit
+    out = fa_padded / g0
+    step = _stride_of(np.flatnonzero(ga)) or 1
+    live = np.zeros(step, dtype=bool)
+    live[np.flatnonzero(fa_padded) % step] = True
+    for k in np.flatnonzero(live[np.arange(n_terms) % step]).tolist():
         acc = fa_padded[k]
         j_max = min(k, len(ga) - 1)
         if j_max >= 1:

@@ -12,19 +12,24 @@ def read(path: Path) -> str:
 
 class TestRunConfig:
     def test_round_trip(self):
-        config = RunConfig(n_terms=123, quad_samples=64, tolerance=1e-9, seed=7, out_dir="/tmp/x", format="csv", alpha=0.5)
+        config = RunConfig(n_terms=123, tolerance=1e-9, seed=7, out_dir="/tmp/x", format="csv", alpha=0.5)
         back = RunConfig.from_text(config.to_text())
         assert back == config
 
     def test_defaults_documented(self):
         config = RunConfig()
         text = config.to_text()
-        for key in ("n_terms", "quad_samples", "tolerance", "seed", "out_dir", "format", "alpha"):
+        for key in ("n_terms", "tolerance", "seed", "out_dir", "format", "alpha"):
             assert key in text
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             RunConfig.from_text("bogus = 1\n")
+
+    def test_removed_quad_samples_key_rejected(self):
+        # the key configured nothing; a config file naming it is refused
+        with pytest.raises(ValueError, match="unknown config key 'quad_samples'"):
+            RunConfig.from_text("n_terms = 80\nquad_samples = 64\n")
 
 
 class TestSubcommands:

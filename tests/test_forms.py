@@ -16,7 +16,7 @@ from vvaf.forms import (
     theta_eta_form,
 )
 from vvaf.moebius import GroupElement, gen_s, gen_t
-from vvaf.qseries import FracQSeries, eta_series
+from vvaf.qseries import FracQSeries, LogQExpansion, eta_series, theta_series
 from vvaf.representation import builtin
 
 TAUS = [0.1 + 1j * y for y in np.linspace(0.8, 2.5, 10)]
@@ -53,6 +53,89 @@ class TestAssembly:
         assert back.cusp_form == X.cusp_form
         tau = 0.2 + 1.4j
         assert np.allclose(back.evaluate(tau), X.evaluate(tau), atol=1e-12)
+
+
+def _flags_by_definition(X):
+    """Flags and default offsets from every occupied exponent, as Fractions."""
+    exponents = [comp.occupied_exponents() for comp in X.basis_components]
+    every = [e for exps in exponents for e in exps]
+    offsets = [min(exps) - math.floor(min(exps)) if exps else Fraction(0) for exps in exponents]
+    return all(e >= 0 for e in every), all(e > 0 for e in every), offsets
+
+
+def _hand_built_forms():
+    trivial = builtin("trivial")
+    # q^(-23/24) + 3 q^(1/24) - q^(25/24): a pole at the cusp
+    negative = FracQSeries(1, 24, -23, np.r_[1.0, np.zeros(23), 3.0, np.zeros(23), -1.0], order=3)
+    # a truncated zero between two nonzero components
+    zero = FracQSeries.zero(1, order=Fraction(5))
+    # the log term leads at -1/2, below the log-free lead 1/2
+    log_below = LogQExpansion(
+        {0: FracQSeries(1, 2, 1, [1.0, 0.0, 0.5], order=6), 1: FracQSeries(1, 2, -1, [0.25, 0.0, 2.0], order=6)}
+    )
+    # the log term leads at 0, below the log-free lead 1
+    log_at_zero = LogQExpansion({0: FracQSeries(1, 1, 1, [1.0, 2.0], order=6), 1: FracQSeries(1, 1, 0, [0.5], order=6)})
+    return {
+        "negative-lead": VVAF(0, trivial, [negative]),
+        "truncated-zero-component": VVAF(0, builtin("theta-eta"), [eta_series(10), zero, theta_series(2, 10)]),
+        "all-zero": VVAF(0, trivial, [zero]),
+        "log-lead-below": VVAF(0, trivial, [log_below]),
+        "log-lead-at-zero": VVAF(0, trivial, [log_at_zero]),
+    }
+
+
+class TestFlagDefinition:
+    """Flags and default offsets read from leading exponents agree with the definition."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FORMS))
+    @pytest.mark.parametrize("n_terms", [40, 300])
+    def test_builtins(self, name, n_terms):
+        self._check(builtin_form(name, n_terms))
+
+    @pytest.mark.parametrize(
+        "name", ["negative-lead", "truncated-zero-component", "all-zero", "log-lead-below", "log-lead-at-zero"]
+    )
+    def test_hand_built(self, name):
+        self._check(_hand_built_forms()[name])
+
+    def test_hand_built_flag_values(self):
+        forms = _hand_built_forms()
+        flags = {name: (X.holomorphic_at_infinity, X.cusp_form) for name, X in forms.items()}
+        assert flags == {
+            "negative-lead": (False, False),
+            "truncated-zero-component": (True, True),
+            "all-zero": (True, True),
+            "log-lead-below": (False, False),
+            "log-lead-at-zero": (True, False),
+        }
+        assert forms["negative-lead"].mu_offsets == [Fraction(1, 24)]
+        assert forms["log-lead-below"].mu_offsets == [Fraction(1, 2)]
+
+    @staticmethod
+    def _check(X):
+        holomorphic, cusp, offsets = _flags_by_definition(X)
+        assert X.holomorphic_at_infinity == holomorphic
+        assert X.cusp_form == cusp
+        default = VVAF(X.k, X.rep, X.basis_components, diagonalizer=X.P)
+        assert default.mu_offsets == offsets
+
+    def test_lead_off_its_offset_refused(self):
+        with pytest.raises(ValueError, match="component exponent 1/24 is not an integer shift of its offset 0"):
+            VVAF(0, builtin("trivial"), [eta_series(10)], mu_offsets=[0])
+
+    def test_interior_index_off_the_offset_class_refused(self):
+        # exponents 0, 1 and 3/2: the lead sits on the offset, 3/2 does not
+        series = FracQSeries(1, 2, 0, [1.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="component exponent 3/2 is not an integer shift of its offset 0"):
+            VVAF(0, builtin("trivial"), [series], mu_offsets=[0])
+        # the default offset follows the lead and still misses 1/2
+        with pytest.raises(ValueError, match="component exponent 1/2 is not an integer shift of its offset 0"):
+            VVAF(0, builtin("trivial"), [FracQSeries(1, 2, 0, [1.0, 1.0])])
+
+    def test_log_term_off_the_offset_class_refused(self):
+        comp = LogQExpansion({0: FracQSeries(1, 1, 1, [1.0]), 1: FracQSeries(1, 3, 1, [1.0])})
+        with pytest.raises(ValueError, match="component exponent 1/3 is not an integer shift of its offset 0"):
+            VVAF(0, builtin("trivial"), [comp], mu_offsets=[0])
 
 
 class TestEvaluation:

@@ -60,6 +60,13 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet_L(X, 8)
 
+    @pytest.mark.parametrize("func", [dirichlet_L, completed_dirichlet_L])
+    @pytest.mark.parametrize("s", [9.0, 6.5])  # either side of Re s = k/2 + 1 = 7
+    @pytest.mark.parametrize("n_terms", [0, -5])
+    def test_cutoff_below_one_rejected(self, func, s, n_terms):
+        with pytest.raises(ValueError, match="n_terms must be at least 1"):
+            func(delta_form(300), s, n_terms)
+
 
 class TestCompleted:
     def test_two_method_agreement_delta(self):

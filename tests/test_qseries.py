@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as Gamma
 
+from vvaf import qseries
 from vvaf.qseries import (
     FracQSeries,
     LogQExpansion,
@@ -214,6 +215,74 @@ class TestCoefficientsOnOffset:
         eta.coefficients_on_offset(Fraction(1, 24), 10)
         with pytest.raises(ValueError):
             eta.coefficients_on_offset(Fraction(1, 24), 11)
+
+
+def _div_dense(f, g):
+    """The dense division that the stride-aware one replaced, kept as the reference."""
+    lead_f = f.order if f.is_zero() else f.leading_exponent
+    r_lead = lead_f - g.leading_exponent
+    bounds = []
+    if f.order is not None:
+        bounds.append(f.order - g.leading_exponent)
+    if g.order is not None:
+        bounds.append(g.order - g.leading_exponent + r_lead)
+    order = min(bounds) if bounds else None
+    D, fa, fs, ga, gs = qseries._aligned(f, g)
+    r_start = fs - gs
+    if order is not None:
+        n_terms = min(max(0, math.ceil(order * D - r_start)), len(fa) + len(ga))
+    else:
+        n_terms = len(fa)
+    out = np.zeros(n_terms, dtype=complex)
+    g0 = ga[0]
+    fa_padded = np.zeros(n_terms, dtype=complex)
+    take = min(n_terms, len(fa))
+    fa_padded[:take] = fa[:take]
+    for k in range(n_terms):
+        acc = fa_padded[k]
+        j_max = min(k, len(ga) - 1)
+        if j_max >= 1:
+            stop = k - j_max - 1
+            acc -= np.dot(ga[1 : j_max + 1], out[k - 1 : (stop if stop >= 0 else None) : -1])
+        out[k] = acc / g0
+    return FracQSeries(f.h, D, r_start, out, order=order)
+
+
+def _assert_same_series(a, b):
+    assert (a.h, a.D, a.start, a.order) == (b.h, b.D, b.start, b.order)
+    assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+class TestDivision:
+    @pytest.mark.parametrize("n", [40, 400])
+    @pytest.mark.parametrize("variant", [2, 3, 4])
+    def test_theta_over_eta_matches_dense(self, variant, n):
+        f, g = theta_series(variant, n), eta_series(n)
+        _assert_same_series(combine("div", f, g), _div_dense(f, g))
+
+    def test_random_dense_divisor(self):
+        rng = np.random.default_rng(41)
+        f = FracQSeries(1, 1, 2, rng.normal(size=80) + 1j * rng.normal(size=80))
+        coeffs = 0.3 * (rng.normal(size=60) + 1j * rng.normal(size=60))
+        coeffs[0] = 1.0 - 0.5j
+        g = FracQSeries(1, 1, 1, coeffs, order=61)
+        _assert_same_series(combine("div", f, g), _div_dense(f, g))
+
+    def test_stride_three_divisor_two_classes_filled(self):
+        rng = np.random.default_rng(43)
+        coeffs = np.zeros(150, dtype=complex)
+        coeffs[::3] = 0.3 * (rng.normal(size=50) + 1j * rng.normal(size=50))
+        coeffs[0] = -1.25 + 0.5j  # a negative real part flips the sign of zero quotients
+        g = FracQSeries(1, 1, 0, coeffs, order=Fraction(301, 2))
+        dividend = np.zeros(240, dtype=complex)
+        dividend[::3] = rng.normal(size=80)
+        dividend[1::3] = rng.normal(size=80) + 1j * rng.normal(size=80)
+        # scaling by -1 leaves negative zeros in the empty class
+        f = combine("scale", FracQSeries(1, 1, 0, dividend), factor=-1)
+        assert f.D == 1 and not np.any(f.coeffs[2::3])
+        quotient = combine("div", f, g)
+        _assert_same_series(quotient, _div_dense(f, g))
+        assert not np.any(quotient.coeffs[2::3])
 
 
 class TestCoefficientIntegral:
