@@ -35,7 +35,6 @@ from vvaf.representation import Representation, builtin, jordan_form
 
 __all__ = [
     "VVAF",
-    "assemble_vvaf",
     "check_transformation",
     "theta_eta_form",
     "eta4_theta_eta_form",
@@ -205,11 +204,6 @@ def _lead_offset(grid: list) -> Fraction:
     return lead - math.floor(lead)
 
 
-def assemble_vvaf(rep: Representation, k: int, components, diagonalizer=None, mu_offsets=None) -> VVAF:
-    """Bundle expansions into a form; flags are recomputed from exponents."""
-    return VVAF(k, rep, components, diagonalizer=diagonalizer, mu_offsets=mu_offsets)
-
-
 def check_transformation(X: VVAF, gamma: GroupElement, taus, tail_bound: float = 1e-10) -> float:
     """Max residual of the weight-k functional equation over sample points.
 
@@ -309,7 +303,7 @@ def eta4_theta_eta_form(n_terms: int = 60) -> VVAF:
 @lru_cache(maxsize=8)
 def delta_form(n_terms: int = 200) -> VVAF:
     """The weight-12 cusp form on the trivial line (24th eta power)."""
-    rep = builtin("delta-multiplier-weight-12-trivial")
+    rep = builtin("trivial")
     return VVAF(12, rep, [eta_power_series(24, n_terms)], mu_offsets=[Fraction(0)])
 
 

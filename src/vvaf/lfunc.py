@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as complex_gamma
 
 from vvaf.forms import VVAF
 from vvaf.moebius import gen_s
@@ -152,6 +151,9 @@ def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float
     """
     if not X.cusp_form:
         raise ValueError("completion requires a cusp form")
+    # Imported here so that loading the package does not load scipy.
+    from scipy.special import gamma as complex_gamma
+
     s = complex(s)
     slot_sums, _, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
     basis_values = np.zeros(X.m, dtype=complex)

@@ -6,16 +6,14 @@ Euclidean word decomposition.  Subgroup representations reuse the same
 generator-image data restricted to the subgroup via its membership
 predicate (all built-in subgroup cases arise as restrictions).
 
-Representations are immutable after construction.  Evaluation is pure
-unless the optional word-keyed memo cache is switched on, in which case the
-cache is guarded by a lock and everything stays safe for concurrent use.
+Representations are immutable after construction and evaluation is pure,
+so everything is safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +48,7 @@ _COND_GUARD = 1e-10
 class Representation:
     """Generator images (mat_s, mat_t) plus an optional subgroup restriction."""
 
-    def __init__(self, mat_s, mat_t, group: SubgroupDescriptor | None = None, memoize: bool = False):
+    def __init__(self, mat_s, mat_t, group: SubgroupDescriptor | None = None):
         self.mat_s = np.array(mat_s, dtype=complex)
         self.mat_t = np.array(mat_t, dtype=complex)
         if self.mat_s.shape != self.mat_t.shape or self.mat_s.ndim != 2:
@@ -65,8 +63,6 @@ class Representation:
                 raise ValueError(f"generator image {name} is numerically singular")
         self.mat_s.setflags(write=False)
         self.mat_t.setflags(write=False)
-        self._memo: dict | None = {} if memoize else None
-        self._lock = threading.Lock() if memoize else None
 
     def __repr__(self):
         return f"Representation(m={self.m}, group={self.group.name})"
@@ -75,23 +71,13 @@ class Representation:
         """Image of a group element, via the word decomposition."""
         if not self.group.contains(g):
             raise ValueError(f"element {g.entries()} is not in {self.group.name}")
-        word = word_decompose(g)
-        if self._memo is not None:
-            with self._lock:
-                cached = self._memo.get(word.letters)
-            if cached is not None:
-                return cached
-        result = word.apply(
+        result = word_decompose(g).apply(
             {"s": self.mat_s, "t": self.mat_t},
             multiply=np.matmul,
             power=np.linalg.matrix_power,
         )
         if result is None:
             result = np.eye(self.m, dtype=complex)
-        if self._memo is not None:
-            result.setflags(write=False)
-            with self._lock:
-                self._memo[word.letters] = result
         return result
 
     def restrict(self, group: SubgroupDescriptor) -> "Representation":
@@ -606,9 +592,7 @@ def builtin(name: str, **params) -> Representation:
     Names: 'theta-eta' (the rank-3 unitary example), 'nonpoly' (the
     non-polynomial-growth family, parameter ``a``, default 1j), 'sym2'
     (symmetric square of the standard integral action, a single unipotent
-    block at t), 'trivial' (optionally restricted via ``group``), and
-    'delta-multiplier-weight-12-trivial' (alias of the trivial line used
-    with the weight-12 cusp form).
+    block at t) and 'trivial' (optionally restricted via ``group``).
     """
     if name == "theta-eta":
         return _theta_eta()
@@ -616,6 +600,6 @@ def builtin(name: str, **params) -> Representation:
         return _nonpoly(params.get("a", 1j))
     if name == "sym2":
         return _sym2()
-    if name in ("trivial", "delta-multiplier-weight-12-trivial"):
+    if name == "trivial":
         return _trivial(params.get("group"))
     raise ValueError(f"unknown builtin representation {name!r}")

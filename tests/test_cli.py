@@ -1,13 +1,27 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from vvaf.cli import RunConfig, run
+from vvaf.forms import delta_form
+from vvaf.lfunc import completed_dirichlet_L
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read(path: Path) -> str:
     return path.read_text()
+
+
+def fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports the package from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestRunConfig:
@@ -141,3 +155,28 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(read(tmp_path / "repr_check_sym2.json"))
         assert payload["seed"] == 3
+
+
+class TestStartup:
+    def test_commands_without_gamma_load_no_scipy(self, tmp_path):
+        argv = ["--out-dir", str(tmp_path), "vvaf", "coeffs", "--builtin", "theta-eta", "-N", "50"]
+        proc = fresh_python(
+            "import json, sys\n"
+            "from vvaf.cli import run\n"
+            f"code = run({argv!r})\n"
+            "print(json.dumps({'code': code, 'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy']}))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result == {"code": 0, "scipy": []}
+        assert (tmp_path / "coeffs_theta-eta.json").exists()
+
+    def test_truncated_sum_eval_in_fresh_process(self, tmp_path):
+        argv = ["--out-dir", str(tmp_path), "--n-terms", "400", "lfunc", "eval", "--builtin", "delta", "--s", "8",
+                "--method", "truncated-sum"]
+        proc = fresh_python(f"import sys\nfrom vvaf.cli import run\nsys.exit(run({argv!r}))\n")
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in read(tmp_path / "lfunc_eval_delta_truncated-sum.csv").splitlines()[1:]]
+        expected = completed_dirichlet_L(delta_form(400), 8, n_terms=400)
+        assert [complex(float(r[3]), float(r[4])) for r in rows] == list(expected.value)
+        assert [float(r[5]) for r in rows] == [expected.error] * len(expected.value)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vvaf.expsum import bound_scan, exp_sum
-from vvaf.forms import assemble_vvaf, delta_form, eta4_theta_eta_form, sym2_log_form
+from vvaf.forms import VVAF, delta_form, eta4_theta_eta_form, sym2_log_form
 from vvaf.qseries import FracQSeries
 from vvaf.representation import builtin
 
@@ -11,7 +11,7 @@ CUTOFFS = [100, 250, 500, 1000, 1500, 2000]
 
 
 def zero_form():
-    return assemble_vvaf(builtin("trivial"), 12, [FracQSeries.zero(order=3000)])
+    return VVAF(12, builtin("trivial"), [FracQSeries.zero(order=3000)])
 
 
 class TestExpSum:

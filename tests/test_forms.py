@@ -7,7 +7,6 @@ import pytest
 from vvaf.forms import (
     BUILTIN_FORMS,
     VVAF,
-    assemble_vvaf,
     builtin_form,
     check_transformation,
     delta_form,
@@ -26,12 +25,12 @@ class TestAssembly:
     def test_component_count_enforced(self):
         rep = builtin("theta-eta")
         with pytest.raises(ValueError):
-            assemble_vvaf(rep, 0, [eta_series(10)])
+            VVAF(0, rep, [eta_series(10)])
 
     def test_weight_must_be_even(self):
         rep = builtin("trivial")
         with pytest.raises(ValueError):
-            assemble_vvaf(rep, 3, [eta_series(10)])
+            VVAF(3, rep, [eta_series(10)])
 
     def test_flags_recomputed_from_exponents(self):
         # basis leading exponents 1/4, 1/8, 5/8 are all positive
@@ -155,7 +154,7 @@ class TestEvaluation:
 
     def test_zero_expansion_evaluates_to_zero(self):
         rep = builtin("trivial")
-        X = assemble_vvaf(rep, 0, [FracQSeries.zero()])
+        X = VVAF(0, rep, [FracQSeries.zero()])
         assert X.evaluate(1j)[0] == 0
 
     def test_log_term_evaluation(self):

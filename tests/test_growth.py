@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vvaf.forms import assemble_vvaf, builtin_form, delta_form, eta4_theta_eta_form, sym2_log_form
+from vvaf.forms import VVAF, builtin_form, delta_form, eta4_theta_eta_form, sym2_log_form
 from vvaf.growth import (
     coefficient_growth_report,
     converse_growth_check,
@@ -16,7 +16,7 @@ from vvaf.representation import Representation, builtin
 
 def zero_form():
     rep = builtin("trivial")
-    return assemble_vvaf(rep, 12, [FracQSeries.zero(order=100)])
+    return VVAF(12, rep, [FracQSeries.zero(order=100)])
 
 
 class TestCoefficientGrowth:
@@ -40,9 +40,9 @@ class TestCoefficientGrowth:
     def test_scale_invariance(self):
         X = eta4_theta_eta_form(600)
         report1 = coefficient_growth_report(X, 500, alpha=0.0)
-        scaled = assemble_vvaf(
-            X.rep,
+        scaled = VVAF(
             X.k,
+            X.rep,
             [comp.scale(137.0) for comp in X.basis_components],
             diagonalizer=X.P,
             mu_offsets=X.mu_offsets,
@@ -135,9 +135,9 @@ class TestConverse:
         # the quotient vector has weight 0; fed in as weight 2 the functional
         # equation fails and the checker refuses to continue
         X = builtin_form("theta-eta", 60)
-        bad = assemble_vvaf(
-            Representation(X.rep.mat_s, X.rep.mat_t),
+        bad = VVAF(
             2,
+            Representation(X.rep.mat_s, X.rep.mat_t),
             X.basis_components,
             diagonalizer=X.P,
             mu_offsets=X.mu_offsets,
@@ -163,7 +163,7 @@ class TestVanishing:
 
     def test_nonzero_constant_flagged(self):
         rep = builtin("trivial")
-        constant = assemble_vvaf(rep, -2, [FracQSeries(1, 1, 0, [1.0])])
+        constant = VVAF(-2, rep, [FracQSeries(1, 1, 0, [1.0])])
         result = vanishing_check(-2, 0.0, candidate=constant)
         assert result["active"] and not result["consistent"]
 

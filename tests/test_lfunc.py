@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as complex_gamma
 
-from vvaf.forms import BUILTIN_FORMS, VVAF, assemble_vvaf, builtin_form, delta_form, eta4_theta_eta_form
+from vvaf.forms import BUILTIN_FORMS, VVAF, builtin_form, delta_form, eta4_theta_eta_form
 from vvaf.lfunc import (
     _decay_rate,
     completed_L,
@@ -30,7 +30,7 @@ class TestGammaPrimitive:
 class TestDirichlet:
     def test_zero_form(self):
         rep = builtin("trivial")
-        X = assemble_vvaf(rep, 12, [FracQSeries(1, 1, 1, [0.0, 1e-300], order=500)])
+        X = VVAF(12, rep, [FracQSeries(1, 1, 1, [0.0, 1e-300], order=500)])
         value = dirichlet_L(X, 8, n_terms=100)
         assert abs(value.value[0]) < 1e-200
 
@@ -56,7 +56,7 @@ class TestDirichlet:
 
     def test_non_cusp_form_rejected(self):
         rep = builtin("trivial")
-        X = assemble_vvaf(rep, 0, [FracQSeries(1, 1, 0, [1.0], order=50)])
+        X = VVAF(0, rep, [FracQSeries(1, 1, 0, [1.0], order=50)])
         with pytest.raises(ValueError):
             dirichlet_L(X, 8)
 
@@ -134,7 +134,7 @@ class TestCompleted:
 
     def test_non_cusp_form_rejected(self):
         rep = builtin("trivial")
-        X = assemble_vvaf(rep, 0, [FracQSeries(1, 1, 0, [1.0], order=50)])
+        X = VVAF(0, rep, [FracQSeries(1, 1, 0, [1.0], order=50)])
         with pytest.raises(ValueError):
             completed_L(X, 2)
 
@@ -212,7 +212,7 @@ class TestLogarithmicVariant:
             LogQExpansion({0: base1}),
             LogQExpansion({0: base0}),
         ]
-        X = assemble_vvaf(rep, 4, comps)
+        X = VVAF(4, rep, comps)
         assert X.is_logarithmic and X.cusp_form
         s = 5.0
         series_value = completed_dirichlet_L(X, s, n_terms=50).value

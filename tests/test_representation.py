@@ -108,12 +108,16 @@ class TestEvaluate:
             rho.evaluate(gen_t())
         assert np.allclose(rho.evaluate(t_power(2)), np.eye(1))
 
-    def test_memo_cache(self):
-        rho = Representation(builtin("theta-eta").mat_s, builtin("theta-eta").mat_t, memoize=True)
+    def test_repeated_evaluation_equal(self):
+        rho = Representation(builtin("theta-eta").mat_s, builtin("theta-eta").mat_t)
         g = GroupElement(2, 1, 1, 1)
         first = rho.evaluate(g)
         second = rho.evaluate(g)
         assert np.allclose(first, second)
+
+    def test_removed_delta_alias_unknown(self):
+        with pytest.raises(ValueError, match="unknown builtin representation"):
+            builtin("delta-multiplier-weight-12-trivial")
 
     def test_json_round_trip(self):
         rho = builtin("theta-eta")
