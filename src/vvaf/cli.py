@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from vvaf.expsum import bound_scan
-from vvaf.forms import BUILTIN_FORMS, VVAF, builtin_form, check_transformation
+from vvaf.forms import BUILTIN_FORMS, builtin_form, check_transformation
 from vvaf.growth import coefficient_growth_report, mean_square
 from vvaf.lfunc import completed_dirichlet_L, completed_L, functional_equation_sign
 from vvaf.moebius import GroupElement, gen_s, gen_t
@@ -36,6 +36,8 @@ from vvaf.representation import (
 )
 
 __all__ = ["RunConfig", "main", "run"]
+
+_FORMATS = ("json", "csv")
 
 
 @dataclass
@@ -52,6 +54,10 @@ class RunConfig:
     out_dir: str = "."  # artifact directory
     format: str = "json"  # 'json' or 'csv' for primary artifacts
     alpha: float = 0.0  # growth exponent entering the targets
+
+    def __post_init__(self):
+        if self.format not in _FORMATS:
+            raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}")
 
     def to_text(self) -> str:
         lines = [f"{field.name} = {getattr(self, field.name)}" for field in fields(self)]
@@ -77,15 +83,22 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_artifacts(out_dir: Path, artifacts: dict, builtin_name: str, seed: int) -> None:
+    """Write ``name -> payload`` pairs: a dict as JSON, a (header, rows) pair as CSV.
 
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_format_float(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    Every JSON payload carries the builtin name and the seed.
+    """
+    for name, content in artifacts.items():
+        if name.endswith(".json"):
+            payload = {**content, "builtin": builtin_name, "seed": seed}
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        else:
+            header, rows = content
+            lines = [header]
+            for row in rows:
+                lines.append(",".join(_format_float(v) if isinstance(v, float) else str(v) for v in row))
+            text = "\n".join(lines) + "\n"
+        (out_dir / name).write_text(text)
 
 
 def _parse_gamma(text: str) -> GroupElement:
@@ -104,55 +117,45 @@ def _parse_complex_list(text: str) -> list:
 
 
 def _rep_from_args(args) -> tuple:
+    """The builtin representation and its parameters as [re, im] pairs."""
     params = {}
     for item in args.param or []:
         key, _, value = item.partition("=")
         params[key] = complex(value.replace("i", "j"))
-    return builtin(args.builtin, **params), params
+    return builtin(args.builtin, **params), {k: [v.real, v.imag] for k, v in params.items()}
 
 
-def _form_from_args(args, config: RunConfig) -> VVAF:
-    return builtin_form(args.builtin, n_terms=config.n_terms)
+# -- commands: each returns its artifacts and its exit code ------------------------
 
 
-# -- subcommand implementations -------------------------------------------------
-
-
-def _cmd_repr_check(args, config: RunConfig) -> int:
+def _repr_check(args, config: RunConfig) -> tuple:
     rho, params = _rep_from_args(args)
     report = validate(rho)
     eigs = sorted(np.linalg.eigvals(rho.mat_t), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     payload = {
-        "builtin": args.builtin,
-        "params": {k: [v.real, v.imag] for k, v in params.items()},
+        "params": params,
         "validation": report.as_dict(),
         "admissible": bool(is_admissible(rho)) if report.passed else None,
         "polynomial_growth": bool(is_polynomial_growth(rho)),
         "t_eigenvalues": [[z.real, z.imag] for z in eigs],
-        "seed": config.seed,
     }
-    _write_json(Path(config.out_dir) / f"repr_check_{args.builtin}.json", payload)
-    return 0 if report.passed else 1
+    return {f"repr_check_{args.builtin}.json": payload}, 0 if report.passed else 1
 
 
-def _cmd_repr_growth(args, config: RunConfig) -> int:
+def _repr_growth(args, config: RunConfig) -> tuple:
     rho, params = _rep_from_args(args)
     fit = growth_exponent(rho, SamplerConfig(seed=config.seed))
     payload = {
-        "builtin": args.builtin,
-        "params": {k: [v.real, v.imag] for k, v in params.items()},
+        "params": params,
         "fit": fit.as_dict(),
         "unitary_sampled": bool(is_unitary_sampled(rho, seed=config.seed)),
-        "seed": config.seed,
     }
-    _write_json(Path(config.out_dir) / f"repr_growth_{args.builtin}.json", payload)
-    return 0
+    return {f"repr_growth_{args.builtin}.json": payload}, 0
 
 
-def _cmd_vvaf_coeffs(args, config: RunConfig) -> int:
+def _vvaf_coeffs(args, config: RunConfig) -> tuple:
     X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
-    out_dir = Path(config.out_dir)
-    names = []
+    artifacts = {}
     skipped_log_powers = 0
     for i in range(X.m):
         comp = X.component_expansion(i)
@@ -168,47 +171,33 @@ def _cmd_vvaf_coeffs(args, config: RunConfig) -> int:
                     (exponent.numerator, exponent.denominator, float(value.real), float(value.imag))
                 )
         rows.sort(key=lambda r: r[0] / r[1])
-        name = f"coeffs_{args.builtin}_c{i}.csv"
-        _write_csv(out_dir / name, "exponent_num,exponent_den,re,im", rows)
-        names.append(name)
-    _write_json(
-        out_dir / f"coeffs_{args.builtin}.json",
-        {
-            "builtin": args.builtin,
-            "components": names,
-            "N": args.N,
-            "skipped_log_powers": skipped_log_powers,
-            "seed": config.seed,
-        },
-    )
-    return 0
+        artifacts[f"coeffs_{args.builtin}_c{i}.csv"] = ("exponent_num,exponent_den,re,im", rows)
+    artifacts[f"coeffs_{args.builtin}.json"] = {
+        "components": list(artifacts),
+        "N": args.N,
+        "skipped_log_powers": skipped_log_powers,
+    }
+    return artifacts, 0
 
 
-def _cmd_vvaf_transform_check(args, config: RunConfig) -> int:
-    X = _form_from_args(args, config)
-    gammas = [_parse_gamma(g) for g in args.gamma]
+def _vvaf_transform_check(args, config: RunConfig) -> tuple:
+    X = builtin_form(args.builtin, n_terms=config.n_terms)
     taus = [complex(0.1 * (i % 5), 0.8 + 0.17 * i) for i in range(args.samples)]
-    residuals = {}
-    for text, gamma in zip(args.gamma, gammas):
-        residuals[text] = check_transformation(X, gamma, taus)
+    residuals = {text: check_transformation(X, _parse_gamma(text), taus) for text in args.gamma}
     worst = max(residuals.values())
     payload = {
-        "builtin": args.builtin,
         "residuals": residuals,
         "max_residual": worst,
         "tolerance": config.tolerance,
         "verdict": "PASS" if worst < config.tolerance else "FAIL",
-        "seed": config.seed,
     }
-    _write_json(Path(config.out_dir) / f"transform_{args.builtin}.json", payload)
-    return 0 if worst < config.tolerance else 1
+    return {f"transform_{args.builtin}.json": payload}, 0 if worst < config.tolerance else 1
 
 
-def _cmd_vvaf_growth(args, config: RunConfig) -> int:
+def _vvaf_growth(args, config: RunConfig) -> tuple:
     X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
     report = coefficient_growth_report(X, args.N, alpha=config.alpha)
-    payload = {"builtin": args.builtin, "report": report.as_dict(), "seed": config.seed}
-    _write_json(Path(config.out_dir) / f"vvaf_growth_{args.builtin}.json", payload)
+    artifacts = {f"vvaf_growth_{args.builtin}.json": {"report": report.as_dict()}}
     if config.format == "csv":
         norms = np.max(np.abs(X.fourier_vectors(args.N)), axis=1)
         rows = [
@@ -216,203 +205,173 @@ def _cmd_vvaf_growth(args, config: RunConfig) -> int:
             for n in range(1, args.N + 1)
             if norms[n] > 0
         ]
-        _write_csv(Path(config.out_dir) / f"vvaf_growth_{args.builtin}.csv", "n,norm,bound", rows)
-    return 0 if report.verdict != "FAIL" else 1
+        artifacts[f"vvaf_growth_{args.builtin}.csv"] = ("n,norm,bound", rows)
+    return artifacts, 0 if report.verdict != "FAIL" else 1
 
 
-def _cmd_vvaf_meansq(args, config: RunConfig) -> int:
+def _vvaf_meansq(args, config: RunConfig) -> tuple:
     X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
     result = mean_square(X, args.N, alpha=config.alpha)
-    payload = {
-        "builtin": args.builtin,
-        "slope": result["slope"],
-        "target": result["target"],
-        "verdict": result["verdict"],
-        "seed": config.seed,
-    }
-    _write_json(Path(config.out_dir) / f"vvaf_meansq_{args.builtin}.json", payload)
+    payload = {key: result[key] for key in ("slope", "target", "verdict")}
+    artifacts = {f"vvaf_meansq_{args.builtin}.json": payload}
     if config.format == "csv":
         partial = result["partial_sums"]
         rows = [(n, float(partial[n])) for n in range(1, len(partial))]
-        _write_csv(Path(config.out_dir) / f"vvaf_meansq_{args.builtin}.csv", "n,partial_sum", rows)
-    return 0 if result["verdict"] != "FAIL" else 1
+        artifacts[f"vvaf_meansq_{args.builtin}.csv"] = ("n,partial_sum", rows)
+    return artifacts, 0 if result["verdict"] != "FAIL" else 1
 
 
-def _cmd_lfunc_eval(args, config: RunConfig) -> int:
-    X = _form_from_args(args, config)
-    s_values = _parse_complex_list(args.s)
-    rows_sum, rows_mellin = [], []
-    for s in s_values:
-        if args.method in ("truncated-sum", "both"):
-            value = completed_dirichlet_L(X, s, n_terms=config.n_terms, alpha=config.alpha)
+def _lfunc_eval(args, config: RunConfig) -> tuple:
+    X = builtin_form(args.builtin, n_terms=config.n_terms)
+    methods = ("truncated-sum", "split-mellin") if args.method == "both" else (args.method,)
+    rows = {method: [] for method in methods}
+    for s in _parse_complex_list(args.s):
+        for method in methods:
+            if method == "truncated-sum":
+                value = completed_dirichlet_L(X, s, n_terms=config.n_terms, alpha=config.alpha)
+            else:
+                value = completed_L(X, s)
             for i, z in enumerate(value.value):
-                rows_sum.append((s.real, s.imag, i, float(z.real), float(z.imag), value.error))
-        if args.method in ("split-mellin", "both"):
-            value = completed_L(X, s)
-            for i, z in enumerate(value.value):
-                rows_mellin.append((s.real, s.imag, i, float(z.real), float(z.imag), value.error))
+                rows[method].append((s.real, s.imag, i, float(z.real), float(z.imag), value.error))
     header = "s_re,s_im,component,value_re,value_im,err"
-    out_dir = Path(config.out_dir)
-    if rows_sum:
-        _write_csv(out_dir / f"lfunc_eval_{args.builtin}_truncated-sum.csv", header, rows_sum)
-    if rows_mellin:
-        _write_csv(out_dir / f"lfunc_eval_{args.builtin}_split-mellin.csv", header, rows_mellin)
-    return 0
+    return {f"lfunc_eval_{args.builtin}_{method}.csv": (header, rows[method]) for method in methods}, 0
 
 
-def _cmd_lfunc_fescan(args, config: RunConfig) -> int:
-    X = _form_from_args(args, config)
-    s_values = _parse_complex_list(args.s_grid)
-    result = functional_equation_sign(X, s_values, tol=config.tolerance)
+def _lfunc_fescan(args, config: RunConfig) -> tuple:
+    X = builtin_form(args.builtin, n_terms=config.n_terms)
+    result = functional_equation_sign(X, _parse_complex_list(args.s_grid), tol=config.tolerance)
     rows = [
         (row["s"].real, row["s"].imag, row["residual_plus"], row["residual_minus"])
         for row in result["rows"]
     ]
-    out_dir = Path(config.out_dir)
-    _write_csv(
-        out_dir / f"lfunc_fescan_{args.builtin}.csv",
-        "s_re,s_im,residual_plus,residual_minus",
-        rows,
-    )
-    payload = {
-        "builtin": args.builtin,
-        "selected_sign": result["selected_sign"],
-        "tolerance": config.tolerance,
-        "seed": config.seed,
+    artifacts = {
+        f"lfunc_fescan_{args.builtin}.csv": ("s_re,s_im,residual_plus,residual_minus", rows),
+        f"lfunc_fescan_{args.builtin}.json": {
+            "selected_sign": result["selected_sign"],
+            "tolerance": config.tolerance,
+        },
     }
-    _write_json(out_dir / f"lfunc_fescan_{args.builtin}.json", payload)
-    return 0 if result["selected_sign"] != 0 else 1
+    return artifacts, 0 if result["selected_sign"] != 0 else 1
 
 
-def _cmd_expsum_scan(args, config: RunConfig) -> int:
-    X = builtin_form(args.builtin, n_terms=max(config.n_terms, max(_parse_int_list(args.cutoffs)) + 8))
-    thetas = [float(t) for t in args.thetas.split(",")]
-    cutoffs = _parse_int_list(args.cutoffs)
-    scan = bound_scan(X, thetas, cutoffs, alpha=config.alpha)
+def _expsum_scan(args, config: RunConfig) -> tuple:
+    cutoffs = [int(part) for part in args.cutoffs.split(",")]
+    X = builtin_form(args.builtin, n_terms=max(config.n_terms, max(cutoffs) + 8))
+    scan = bound_scan(X, [float(t) for t in args.thetas.split(",")], cutoffs, alpha=config.alpha)
     rows = []
     for a, theta in enumerate(scan.thetas):
         for b, cutoff in enumerate(scan.cutoffs):
             for i in range(X.m):
                 z = scan.sums[a, b, i]
                 rows.append((theta, cutoff, i, float(z.real), float(z.imag), float(scan.ratios[a, b])))
-    out_dir = Path(config.out_dir)
-    _write_csv(
-        out_dir / f"expsum_{args.builtin}.csv",
-        "theta,X,component,sum_re,sum_im,ratio",
-        rows,
-    )
-    _write_json(
-        out_dir / f"expsum_{args.builtin}.json",
-        {
-            "builtin": args.builtin,
+    artifacts = {
+        f"expsum_{args.builtin}.csv": ("theta,X,component,sum_re,sum_im,ratio", rows),
+        f"expsum_{args.builtin}.json": {
             "verdict": scan.verdict,
             "sigma": scan.sigma,
             "target_exponent": scan.target_exponent,
-            "seed": config.seed,
         },
-    )
-    return 0 if scan.verdict != "FAIL" else 1
+    }
+    return artifacts, 0 if scan.verdict != "FAIL" else 1
 
 
-def _parse_int_list(text: str) -> list:
-    return [int(part) for part in text.split(",")]
+# -- parser -----------------------------------------------------------------------
+
+# RunConfig field -> (flag, argparse keywords); accepted before and after the subcommand
+_COMMON = {
+    "seed": ("--seed", {"type": int, "help": "sampler seed recorded in outputs"}),
+    "out_dir": ("--out-dir", {"help": "artifact directory"}),
+    "format": ("--format", {"choices": _FORMATS, "help": "primary artifact format"}),
+    "n_terms": ("--n-terms", {"type": int, "help": "series truncation order"}),
+}
+
+_GROUPS = {
+    "repr": "representation checks",
+    "vvaf": "vector-valued form suites",
+    "lfunc": "L-function evaluation",
+    "expsum": "exponential sum scans",
+}
+
+_REP = ("--builtin", {"required": True})
+_PARAM = ("--param", {"action": "append", "help": "builtin parameter, e.g. a=1j"})
+_FORM = ("--builtin", {"required": True, "choices": sorted(BUILTIN_FORMS)})
+
+# (group, action, extra arguments, function)
+_COMMANDS = (
+    ("repr", "check", (_REP, _PARAM), _repr_check),
+    ("repr", "growth", (_REP, _PARAM), _repr_growth),
+    ("vvaf", "coeffs", (_FORM, ("-N", {"type": int, "default": 50, "help": "largest exponent to emit"})), _vvaf_coeffs),
+    (
+        "vvaf",
+        "transform-check",
+        (
+            _FORM,
+            ("--gamma", {"action": "append", "required": True, "help": "'s', 't' or a,b,c,d"}),
+            ("--samples", {"type": int, "default": 10}),
+        ),
+        _vvaf_transform_check,
+    ),
+    ("vvaf", "growth", (_FORM, ("-N", {"type": int, "default": 2000})), _vvaf_growth),
+    ("vvaf", "meansq", (_FORM, ("-N", {"type": int, "default": 2000})), _vvaf_meansq),
+    (
+        "lfunc",
+        "eval",
+        (
+            _FORM,
+            ("--s", {"required": True, "help": "comma-separated complex arguments, e.g. 8,6+3i"}),
+            ("--method", {"choices": ("truncated-sum", "split-mellin", "both"), "default": "both"}),
+        ),
+        _lfunc_eval,
+    ),
+    ("lfunc", "fe-scan", (_FORM, ("--s-grid", {"required": True, "help": "comma-separated complex arguments"})), _lfunc_fescan),
+    (
+        "expsum",
+        "scan",
+        (
+            _FORM,
+            ("--thetas", {"default": "0,0.3333333333333333,0.7071067811865475,0.7"}),
+            ("--cutoffs", {"default": "100,250,500,1000,1500,2000"}),
+        ),
+        _expsum_scan,
+    ),
+)
 
 
-# -- parser ---------------------------------------------------------------------
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # common flags are valid before and after the subcommand; SUPPRESS keeps
-    # an absent trailing flag from clobbering the leading one
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--out-dir", default=argparse.SUPPRESS)
-    p.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    p.add_argument("--n-terms", type=int, dest="config_n_terms", default=argparse.SUPPRESS)
+def _add_common(p: argparse.ArgumentParser, default) -> None:
+    for field, (flag, kwargs) in _COMMON.items():
+        p.add_argument(flag, dest=field, default=default, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vvaf", description=__doc__)
     parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--seed", type=int, default=None, help="sampler seed recorded in outputs")
-    parser.add_argument("--out-dir", default=None, help="artifact directory")
-    parser.add_argument("--format", choices=("json", "csv"), default=None, help="primary artifact format")
-    parser.add_argument("--n-terms", type=int, dest="config_n_terms", default=None, help="series truncation order")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_repr = sub.add_parser("repr", help="representation checks")
-    repr_sub = p_repr.add_subparsers(dest="action", required=True)
-    for action, func in (("check", _cmd_repr_check), ("growth", _cmd_repr_growth)):
-        p = repr_sub.add_parser(action)
-        p.add_argument("--builtin", required=True)
-        p.add_argument("--param", action="append", help="builtin parameter, e.g. a=1j")
+    _add_common(parser, default=None)
+    groups = parser.add_subparsers(dest="command", required=True)
+    actions = {}
+    for group, action, arguments, func in _COMMANDS:
+        if group not in actions:
+            actions[group] = groups.add_parser(group, help=_GROUPS[group]).add_subparsers(dest="action", required=True)
+        p = actions[group].add_parser(action)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        _add_common(p)
-
-    p_vvaf = sub.add_parser("vvaf", help="vector-valued form suites")
-    vvaf_sub = p_vvaf.add_subparsers(dest="action", required=True)
-    p = vvaf_sub.add_parser("coeffs")
-    p.add_argument("--builtin", required=True, choices=sorted(BUILTIN_FORMS))
-    p.add_argument("-N", type=int, default=50, help="largest exponent to emit")
-    p.set_defaults(func=_cmd_vvaf_coeffs)
-    _add_common(p)
-    p = vvaf_sub.add_parser("transform-check")
-    p.add_argument("--builtin", required=True, choices=sorted(BUILTIN_FORMS))
-    p.add_argument("--gamma", action="append", required=True, help="'s', 't' or a,b,c,d")
-    p.add_argument("--samples", type=int, default=10)
-    p.set_defaults(func=_cmd_vvaf_transform_check)
-    _add_common(p)
-    p = vvaf_sub.add_parser("growth")
-    p.add_argument("--builtin", required=True, choices=sorted(BUILTIN_FORMS))
-    p.add_argument("-N", type=int, default=2000)
-    p.set_defaults(func=_cmd_vvaf_growth)
-    _add_common(p)
-    p = vvaf_sub.add_parser("meansq")
-    p.add_argument("--builtin", required=True, choices=sorted(BUILTIN_FORMS))
-    p.add_argument("-N", type=int, default=2000)
-    p.set_defaults(func=_cmd_vvaf_meansq)
-    _add_common(p)
-
-    p_lfunc = sub.add_parser("lfunc", help="L-function evaluation")
-    lfunc_sub = p_lfunc.add_subparsers(dest="action", required=True)
-    p = lfunc_sub.add_parser("eval")
-    p.add_argument("--builtin", required=True, choices=sorted(BUILTIN_FORMS))
-    p.add_argument("--s", required=True, help="comma-separated complex arguments, e.g. 8,6+3i")
-    p.add_argument("--method", choices=("truncated-sum", "split-mellin", "both"), default="both")
-    p.set_defaults(func=_cmd_lfunc_eval)
-    _add_common(p)
-    p = lfunc_sub.add_parser("fe-scan")
-    p.add_argument("--builtin", required=True, choices=sorted(BUILTIN_FORMS))
-    p.add_argument("--s-grid", required=True, help="comma-separated complex arguments")
-    p.set_defaults(func=_cmd_lfunc_fescan)
-    _add_common(p)
-
-    p_exp = sub.add_parser("expsum", help="exponential sum scans")
-    exp_sub = p_exp.add_subparsers(dest="action", required=True)
-    p = exp_sub.add_parser("scan")
-    p.add_argument("--builtin", required=True, choices=sorted(BUILTIN_FORMS))
-    p.add_argument("--thetas", default="0,0.3333333333333333,0.7071067811865475,0.7")
-    p.add_argument("--cutoffs", default="100,250,500,1000,1500,2000")
-    p.set_defaults(func=_cmd_expsum_scan)
-    _add_common(p)
-
+        # SUPPRESS keeps an absent trailing flag from clobbering the leading one
+        _add_common(p, default=argparse.SUPPRESS)
     return parser
 
 
 def run(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = RunConfig.from_text(Path(args.config).read_text()) if args.config else RunConfig()
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.out_dir is not None:
-            config.out_dir = args.out_dir
-        if args.format is not None:
-            config.format = args.format
-        if args.config_n_terms is not None:
-            config.n_terms = args.config_n_terms
-        Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-        return args.func(args, config)
+        for field in _COMMON:
+            if getattr(args, field) is not None:
+                setattr(config, field, getattr(args, field))
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        artifacts, code = args.func(args, config)
+        _write_artifacts(out_dir, artifacts, args.builtin, config.seed)
+        return code
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

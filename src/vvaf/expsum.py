@@ -67,12 +67,15 @@ def bound_scan(X: VVAF, thetas, cutoffs, alpha: float = 0.0) -> ExpSumScan:
 
     sigma is 1 for cusp forms and 2 for merely holomorphic ones.  The
     verdict passes when the worst ratio at the largest cutoff stays within
-    a factor 3 of the worst ratio at the smallest cutoff.
+    a factor 3 of the worst ratio at the smallest cutoff.  Cutoffs must be
+    increasing and at least 1.
     """
     thetas = tuple(float(t) for t in thetas)
     cutoffs = tuple(int(c) for c in cutoffs)
     if sorted(cutoffs) != list(cutoffs):
         raise ValueError("cutoffs must be increasing")
+    if cutoffs and cutoffs[0] < 1:
+        raise ValueError(f"cutoffs must be at least 1, got {cutoffs[0]}")
     sigma = 1 if X.cusp_form else 2
     exponent = sigma * (X.k / 2.0 + alpha)
     sums = np.zeros((len(thetas), len(cutoffs), X.m), dtype=complex)

@@ -25,7 +25,6 @@ from vvaf.moebius import GroupElement, apply_moebius, j_factor
 from vvaf.qseries import (
     FracQSeries,
     LogQExpansion,
-    combine,
     eta_power_series,
     eta_series,
     log_recouple,
@@ -209,12 +208,15 @@ def check_transformation(X: VVAF, gamma: GroupElement, taus, tail_bound: float =
 
     Compares j(gamma, tau)^-k X(gamma tau) against rho(gamma) X(tau); a
     truncation tail above ``tail_bound`` at any sample raises, since the
-    residual would be meaningless there.
+    residual would be meaningless there.  An empty sample set raises, since
+    it would check nothing.
     """
+    taus = [complex(tau) for tau in taus]
+    if not taus:
+        raise ValueError("no sample points to check the transformation at")
     rho_gamma = X.rep.evaluate(gamma)
     worst = 0.0
     for tau in taus:
-        tau = complex(tau)
         image = apply_moebius(gamma, tau)
         lhs, tail1 = X.evaluate(image, with_tail=True)
         rhs, tail2 = X.evaluate(tau, with_tail=True)
@@ -258,11 +260,11 @@ def theta_eta_form(n_terms: int = 60) -> VVAF:
     t2 = theta_series(2, n_terms + 2)
     t3 = theta_series(3, n_terms + 2)
     t4 = theta_series(4, n_terms + 2)
-    comp0 = combine("div", t2, eta)
-    plus = combine("scale", combine("add", t3, t4), factor=_SQRT_HALF)
-    minus = combine("scale", combine("add", t3, combine("scale", t4, factor=-1)), factor=_SQRT_HALF)
-    comp1 = combine("div", plus, eta)
-    comp2 = combine("div", minus, eta)
+    comp0 = t2 / eta
+    plus = (t3 + t4) * _SQRT_HALF
+    minus = (t3 - t4) * _SQRT_HALF
+    comp1 = plus / eta
+    comp2 = minus / eta
     rep = builtin("theta-eta")
     return VVAF(
         0,
@@ -284,11 +286,11 @@ def eta4_theta_eta_form(n_terms: int = 60) -> VVAF:
     t2 = theta_series(2, n_terms + 2)
     t3 = theta_series(3, n_terms + 2)
     t4 = theta_series(4, n_terms + 2)
-    comp0 = combine("mul", eta3, t2)
-    plus = combine("scale", combine("add", t3, t4), factor=_SQRT_HALF)
-    minus = combine("scale", combine("add", t3, combine("scale", t4, factor=-1)), factor=_SQRT_HALF)
-    comp1 = combine("mul", eta3, plus)
-    comp2 = combine("mul", eta3, minus)
+    comp0 = eta3 * t2
+    plus = (t3 + t4) * _SQRT_HALF
+    minus = (t3 - t4) * _SQRT_HALF
+    comp1 = eta3 * plus
+    comp2 = eta3 * minus
     base = builtin("theta-eta")
     twisted = Representation(-base.mat_s, np.exp(1j * np.pi / 3) * base.mat_t)
     return VVAF(

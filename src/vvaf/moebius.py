@@ -260,18 +260,6 @@ class Word:
                 g = g * t_power(exp)
         return g
 
-    def apply(self, images: dict, multiply: Callable, power: Callable):
-        """Fold the word through arbitrary generator images.
-
-        ``images`` maps 's' and 't' to objects combined with ``multiply``
-        and raised to integer powers with ``power``.
-        """
-        result = None
-        for gen, exp in self.letters:
-            factor = images[gen] if gen == "s" else power(images["t"], exp)
-            result = factor if result is None else multiply(result, factor)
-        return result
-
     def to_json(self) -> str:
         return json.dumps([{"gen": g, "exp": e} for g, e in self.letters])
 

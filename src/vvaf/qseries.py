@@ -24,7 +24,6 @@ __all__ = [
     "eta_series",
     "theta_series",
     "eta_power_series",
-    "combine",
     "coefficient_integral",
     "log_recouple",
 ]
@@ -177,32 +176,39 @@ class FracQSeries:
         return self.evaluate(tau)
 
     # -- arithmetic -------------------------------------------------------------
+    # Sums and products merge exponent grids via the lcm of the denominators,
+    # and the result's truncation order is the tightest bound the inputs
+    # imply; a divisor needs a nonzero leading coefficient.  Both operands
+    # of a series operation must share the width h.
 
     def __add__(self, other):
         if isinstance(other, FracQSeries):
-            return combine("add", self, other)
+            return _add(self, other)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, FracQSeries):
-            return combine("add", self, combine("scale", other, factor=-1))
+            return _add(self, other._scale(-1))
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, FracQSeries):
-            return combine("mul", self, other)
+            return _mul(self, other)
         if isinstance(other, (int, float, complex)):
-            return combine("scale", self, factor=other)
+            return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, FracQSeries):
-            return combine("div", self, other)
+            return _div(self, other)
         if isinstance(other, (int, float, complex)):
-            return combine("scale", self, factor=1.0 / other)
+            return self._scale(1.0 / other)
         return NotImplemented
+
+    def _scale(self, factor) -> "FracQSeries":
+        return FracQSeries(self.h, self.D, self.start, self.coeffs * factor, order=self.order)
 
     def __repr__(self):
         lead = None if self.is_zero() else str(self.leading_exponent)
@@ -264,27 +270,9 @@ def _normalize(h, D, start, coeffs, order):
     return h, D, start, np.ascontiguousarray(coeffs), order
 
 
-def combine(op: str, f: FracQSeries, g: FracQSeries | None = None, factor=None) -> FracQSeries:
-    """Pointwise algebra on series: 'mul', 'div', 'add' or 'scale'.
-
-    Addition and multiplication merge exponent grids via the lcm of the
-    denominators; the truncation order of the result is the tightest bound
-    implied by the inputs.  Division requires a nonzero leading
-    coefficient of the divisor.
-    """
-    if op == "scale":
-        return FracQSeries(f.h, f.D, f.start, f.coeffs * factor, order=f.order)
-    if g is None:
-        raise ValueError(f"operation {op!r} needs two series")
+def _same_width(f: FracQSeries, g: FracQSeries) -> None:
     if f.h != g.h:
         raise ValueError("series widths differ")
-    if op == "add":
-        return _add(f, g)
-    if op == "mul":
-        return _mul(f, g)
-    if op == "div":
-        return _div(f, g)
-    raise ValueError(f"unknown operation {op!r}")
 
 
 def _aligned(f: FracQSeries, g: FracQSeries):
@@ -315,6 +303,7 @@ def _stride_of(nonzero_positions: np.ndarray) -> int:
 
 
 def _add(f: FracQSeries, g: FracQSeries) -> FracQSeries:
+    _same_width(f, g)
     order = _min_order(f.order, g.order)
     if f.is_zero():
         return FracQSeries(g.h, g.D, g.start, g.coeffs, order=order)
@@ -330,6 +319,7 @@ def _add(f: FracQSeries, g: FracQSeries) -> FracQSeries:
 
 
 def _mul(f: FracQSeries, g: FracQSeries) -> FracQSeries:
+    _same_width(f, g)
     if (f.is_zero() and f.order is None) or (g.is_zero() and g.order is None):
         return FracQSeries.zero(f.h)  # an exact zero factor
     # for a truncated zero, the order doubles as the earliest possible exponent
@@ -358,6 +348,7 @@ def _mul(f: FracQSeries, g: FracQSeries) -> FracQSeries:
 
 
 def _div(f: FracQSeries, g: FracQSeries) -> FracQSeries:
+    _same_width(f, g)
     if g.is_zero():
         raise ZeroDivisionError("division by the zero series")
     if abs(g.coeffs[0]) == 0:
@@ -611,12 +602,12 @@ class LogQExpansion:
         return self.evaluate(tau)
 
     def scale(self, factor) -> "LogQExpansion":
-        return LogQExpansion({j: combine("scale", s, factor=factor) for j, s in self.terms.items()}, h=self.h)
+        return LogQExpansion({j: s * factor for j, s in self.terms.items()}, h=self.h)
 
     def __add__(self, other: "LogQExpansion") -> "LogQExpansion":
         terms = dict(self.terms)
         for j, series in other.terms.items():
-            terms[j] = combine("add", terms[j], series) if j in terms else series
+            terms[j] = terms[j] + series if j in terms else series
         return LogQExpansion(terms, h=self.h)
 
     def as_dict(self) -> dict:
@@ -646,14 +637,14 @@ def _expansion_to_upoly(x: LogQExpansion) -> dict:
     """Rewrite (log q)^j stacks as coefficients of u^j, u = tau/h."""
     out = {}
     for j, series in x.terms.items():
-        out[j] = combine("scale", series, factor=(2j * math.pi) ** j)
+        out[j] = series * (2j * math.pi) ** j
     return out
 
 
 def _upoly_to_expansion(poly: dict, h: int) -> LogQExpansion:
     terms = {}
     for j, series in poly.items():
-        terms[j] = combine("scale", series, factor=(2j * math.pi) ** (-j))
+        terms[j] = series * (2j * math.pi) ** (-j)
     return LogQExpansion(terms, h=h)
 
 
@@ -663,16 +654,16 @@ def _upoly_scalar_mul(poly: dict, scalar_poly: np.ndarray) -> dict:
         for k, c in enumerate(scalar_poly):
             if c == 0:
                 continue
-            scaled = combine("scale", series, factor=c)
+            scaled = series * c
             key = j + k
-            out[key] = combine("add", out[key], scaled) if key in out else scaled
+            out[key] = out[key] + scaled if key in out else scaled
     return out
 
 
 def _upoly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for j, series in b.items():
-        out[j] = combine("add", out[j], series) if j in out else series
+        out[j] = out[j] + series if j in out else series
     return out
 
 

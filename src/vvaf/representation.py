@@ -71,11 +71,10 @@ class Representation:
         """Image of a group element, via the word decomposition."""
         if not self.group.contains(g):
             raise ValueError(f"element {g.entries()} is not in {self.group.name}")
-        result = word_decompose(g).apply(
-            {"s": self.mat_s, "t": self.mat_t},
-            multiply=np.matmul,
-            power=np.linalg.matrix_power,
-        )
+        result = None
+        for gen, exp in word_decompose(g).letters:
+            factor = self.mat_s if gen == "s" else np.linalg.matrix_power(self.mat_t, exp)
+            result = factor if result is None else np.matmul(result, factor)
         if result is None:
             result = np.eye(self.m, dtype=complex)
         return result

@@ -25,7 +25,7 @@ from vvaf.forms import (
 from vvaf.growth import coefficient_growth_report, mean_square
 from vvaf.lfunc import completed_L, completed_dirichlet_L, functional_equation_sign
 from vvaf.moebius import GroupElement, gen_s, gen_t, left_transversal, random_element, word_decompose
-from vvaf.qseries import FracQSeries, LogQExpansion, coefficient_integral, combine, eta_series, log_recouple
+from vvaf.qseries import FracQSeries, LogQExpansion, coefficient_integral, eta_series, log_recouple
 from vvaf.representation import (
     builtin,
     induce,
@@ -179,7 +179,7 @@ def test_criterion_09_logarithmic_machinery():
     # round trip of the rank-two fixture at 1e-12
     base = FracQSeries(1, 3, 1, [1.0])
     x0 = LogQExpansion({0: base})
-    x1 = LogQExpansion({1: combine("scale", base, factor=1.0 / (2j * math.pi))})
+    x1 = LogQExpansion({1: base * (1.0 / (2j * math.pi))})
     forward = log_recouple("forward", [x0, x1])
     back = log_recouple("backward", forward)
     for tau in (0.3 + 1.1j, -0.2 + 0.8j, 2.0j):

@@ -17,6 +17,26 @@ def read(path: Path) -> str:
     return path.read_text()
 
 
+# the nine README commands at small sizes, with the files each writes
+README_COMMANDS = [
+    ("repr check --builtin theta-eta", {"repr_check_theta-eta.json"}),
+    ("repr growth --builtin nonpoly --param a=1j", {"repr_growth_nonpoly.json"}),
+    (
+        "vvaf coeffs --builtin theta-eta -N 10 --format csv",
+        {"coeffs_theta-eta.json", "coeffs_theta-eta_c0.csv", "coeffs_theta-eta_c1.csv", "coeffs_theta-eta_c2.csv"},
+    ),
+    ("vvaf transform-check --builtin theta-eta --gamma s --gamma t --n-terms 60", {"transform_theta-eta.json"}),
+    ("vvaf growth --builtin delta -N 400", {"vvaf_growth_delta.json"}),
+    ("vvaf meansq --builtin eta4-theta-eta -N 400", {"vvaf_meansq_eta4-theta-eta.json"}),
+    (
+        "lfunc eval --builtin delta --s 8,6+3i --method both --n-terms 300",
+        {"lfunc_eval_delta_truncated-sum.csv", "lfunc_eval_delta_split-mellin.csv"},
+    ),
+    ("lfunc fe-scan --builtin delta --s-grid 5,6,7 --n-terms 300", {"lfunc_fescan_delta.csv", "lfunc_fescan_delta.json"}),
+    ("expsum scan --builtin eta4-theta-eta --cutoffs 100,200,400", {"expsum_eta4-theta-eta.csv", "expsum_eta4-theta-eta.json"}),
+]
+
+
 def fresh_python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a new interpreter that imports the package from the source tree."""
     env = dict(os.environ)
@@ -40,6 +60,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_text("bogus = 1\n")
 
+    def test_unknown_format_rejected(self):
+        # the same two formats the --format flag accepts
+        with pytest.raises(ValueError, match="format must be one of json, csv, got 'xml'"):
+            RunConfig.from_text("format = xml\n")
+        assert RunConfig.from_text("format = csv\n").format == "csv"
+
     def test_removed_quad_samples_key_rejected(self):
         # the key configured nothing; a config file naming it is refused
         with pytest.raises(ValueError, match="unknown config key 'quad_samples'"):
@@ -47,6 +73,30 @@ class TestRunConfig:
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize("argv,files", README_COMMANDS, ids=["-".join(c.split()[:2]) for c, _ in README_COMMANDS])
+    def test_readme_command_artifacts(self, tmp_path, argv, files):
+        code = run(argv.split() + ["--out-dir", str(tmp_path), "--seed", "4"])
+        assert code == 0
+        assert {p.name for p in tmp_path.iterdir()} == files
+        builtin_name = argv.split()[argv.split().index("--builtin") + 1]
+        for name in files:
+            if name.endswith(".json"):
+                payload = json.loads(read(tmp_path / name))
+                assert (payload["builtin"], payload["seed"]) == (builtin_name, 4)
+
+    @pytest.mark.parametrize("cutoffs", ["0,10", "-5,10"])
+    def test_expsum_scan_refuses_cutoff_below_one(self, tmp_path, capsys, cutoffs):
+        code = run(["--out-dir", str(tmp_path), "expsum", "scan", "--builtin", "delta", f"--cutoffs={cutoffs}"])
+        assert code == 2
+        assert "cutoffs must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_transform_check_refuses_zero_samples(self, tmp_path, capsys):
+        argv = ["--out-dir", str(tmp_path), "vvaf", "transform-check", "--builtin", "delta", "--gamma", "s", "--samples", "0"]
+        assert run(argv) == 2
+        assert "no sample points" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_repr_check(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "repr", "check", "--builtin", "theta-eta"])
         assert code == 0

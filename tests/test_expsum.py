@@ -91,6 +91,11 @@ class TestBoundScan:
         with pytest.raises(ValueError):
             bound_scan(delta_form(300), THETAS, [200, 100], alpha=0.0)
 
+    @pytest.mark.parametrize("cutoffs", [[0, 10], [-5, 10]])
+    def test_refuses_cutoff_below_one(self, cutoffs):
+        with pytest.raises(ValueError, match="cutoffs must be at least 1"):
+            bound_scan(delta_form(100), THETAS, cutoffs, alpha=0.0)
+
     def test_serializable(self):
         import json
 

@@ -235,6 +235,10 @@ class TestTransformation:
         for gamma in (gen_s(), GroupElement(2, 1, 1, 1)):
             assert check_transformation(D, gamma, TAUS) < 1e-10
 
+    def test_empty_sample_set_refused(self):
+        with pytest.raises(ValueError, match="no sample points"):
+            check_transformation(delta_form(80), gen_s(), [])
+
     def test_tail_guard_raises(self):
         X = theta_eta_form(10)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,6 @@ from vvaf.qseries import (
     FracQSeries,
     LogQExpansion,
     coefficient_integral,
-    combine,
     eta_power_series,
     eta_series,
     log_recouple,
@@ -83,23 +83,23 @@ class TestTheta:
 class TestCombine:
     def test_inverse_round_trip(self):
         eta = eta_series(40)
-        one = combine("div", eta, eta)
+        one = eta / eta
         assert one.coefficient(0) == 1
         assert all(abs(c) < 1e-14 for _, c in one.occupied()[1:])
 
     def test_quotient_leading_terms(self):
         eta = eta_series(40)
-        x3 = combine("div", theta_series(3, 40), eta)
+        x3 = theta_series(3, 40) / eta
         assert x3.leading_exponent == Fraction(-1, 24)
         assert abs(x3.coefficient(Fraction(-1, 24)) - 1.0) < 1e-14
-        x2 = combine("div", theta_series(2, 40), eta)
+        x2 = theta_series(2, 40) / eta
         assert x2.leading_exponent == Fraction(1, 12)
         assert abs(x2.coefficient(Fraction(1, 12)) - 2.0) < 1e-14
 
     def test_mul_div_round_trip(self):
         eta = eta_series(40)
         t3 = theta_series(3, 40)
-        back = combine("mul", eta, combine("div", t3, eta))
+        back = eta * (t3 / eta)
         for e in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(9, 2)):
             assert abs(back.coefficient(e) - t3.coefficient(e)) < 1e-12
 
@@ -109,37 +109,42 @@ class TestCombine:
             a = FracQSeries(1, 3, int(rng.integers(-3, 3)), rng.normal(size=8) + 1j * rng.normal(size=8), order=Fraction(12))
             b = FracQSeries(1, 4, int(rng.integers(-3, 3)), rng.normal(size=8) + 1j * rng.normal(size=8), order=Fraction(12))
             c = FracQSeries(1, 2, int(rng.integers(-3, 3)), rng.normal(size=6) + 1j * rng.normal(size=6), order=Fraction(12))
-            ab = combine("mul", a, b)
-            ba = combine("mul", b, a)
+            ab = a * b
+            ba = b * a
             assert ab.D == ba.D and ab.start == ba.start
             assert np.allclose(ab.coeffs, ba.coeffs, atol=1e-12)
-            left = combine("mul", ab, c)
-            right = combine("mul", a, combine("mul", b, c))
+            left = ab * c
+            right = a * (b * c)
             assert left.D == right.D and left.start == right.start
             assert np.allclose(left.coeffs, right.coeffs, atol=1e-12)
 
     def test_add_merges_grids(self):
         a = FracQSeries(1, 3, 1, [1.0])  # q^(1/3)
         b = FracQSeries(1, 4, 1, [2.0])  # q^(1/4)
-        c = combine("add", a, b)
+        c = a + b
         assert c.coefficient(Fraction(1, 3)) == 1.0
         assert c.coefficient(Fraction(1, 4)) == 2.0
 
     def test_div_rejects_zero_leading(self):
         a = FracQSeries(1, 1, 0, [1.0])
         with pytest.raises(ZeroDivisionError):
-            combine("div", a, FracQSeries.zero())
+            a / FracQSeries.zero()
 
     def test_width_mismatch(self):
+        # every operation checks the widths first, also before the shortcuts
+        # for a zero operand and the refusal of a zero divisor
         a = FracQSeries(1, 1, 0, [1.0])
         b = FracQSeries(2, 1, 0, [1.0])
-        with pytest.raises(ValueError):
-            combine("mul", a, b)
+        pairs = [(a, b), (FracQSeries.zero(1), b), (a, FracQSeries.zero(2))]
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for f, g in pairs:
+                with pytest.raises(ValueError, match="series widths differ"):
+                    op(f, g)
 
     def test_order_tracking_through_mul(self):
         a = FracQSeries(1, 1, 1, np.ones(5), order=Fraction(6))
         b = FracQSeries(1, 1, 2, np.ones(3), order=Fraction(5))
-        prod = combine("mul", a, b)
+        prod = a * b
         # unknown tail of b (from exponent 5) times the lead of a (1): order 6
         assert prod.order == Fraction(6)
         assert max(e for e, _ in prod.occupied()) < prod.order
@@ -258,7 +263,7 @@ class TestDivision:
     @pytest.mark.parametrize("variant", [2, 3, 4])
     def test_theta_over_eta_matches_dense(self, variant, n):
         f, g = theta_series(variant, n), eta_series(n)
-        _assert_same_series(combine("div", f, g), _div_dense(f, g))
+        _assert_same_series(f / g, _div_dense(f, g))
 
     def test_random_dense_divisor(self):
         rng = np.random.default_rng(41)
@@ -266,7 +271,7 @@ class TestDivision:
         coeffs = 0.3 * (rng.normal(size=60) + 1j * rng.normal(size=60))
         coeffs[0] = 1.0 - 0.5j
         g = FracQSeries(1, 1, 1, coeffs, order=61)
-        _assert_same_series(combine("div", f, g), _div_dense(f, g))
+        _assert_same_series(f / g, _div_dense(f, g))
 
     def test_stride_three_divisor_two_classes_filled(self):
         rng = np.random.default_rng(43)
@@ -278,9 +283,9 @@ class TestDivision:
         dividend[::3] = rng.normal(size=80)
         dividend[1::3] = rng.normal(size=80) + 1j * rng.normal(size=80)
         # scaling by -1 leaves negative zeros in the empty class
-        f = combine("scale", FracQSeries(1, 1, 0, dividend), factor=-1)
+        f = FracQSeries(1, 1, 0, dividend) * -1
         assert f.D == 1 and not np.any(f.coeffs[2::3])
-        quotient = combine("div", f, g)
+        quotient = f / g
         _assert_same_series(quotient, _div_dense(f, g))
         assert not np.any(quotient.coeffs[2::3])
 
@@ -311,7 +316,7 @@ class TestCoefficientIntegral:
     def test_mixed_offset_component(self):
         # theta3/eta carries two offset classes; the extraction must still
         # land on the symbolic coefficients
-        x3 = combine("div", theta_series(3, 40), eta_series(40))
+        x3 = theta_series(3, 40) / eta_series(40)
         for exponent, coeff in x3.occupied()[:10]:
             n = math.floor(exponent)
             offset = exponent - n
@@ -336,7 +341,7 @@ class TestLogRecouple:
         base = FracQSeries(1, 3, 1, [1.0])
         u_factor = 1.0 / (2j * math.pi)  # u = log q/(2 pi i)
         x0 = LogQExpansion({0: base})
-        x1 = LogQExpansion({1: combine("scale", base, factor=u_factor)})
+        x1 = LogQExpansion({1: base * u_factor})
         forward = log_recouple("forward", [x0, x1])
         assert all(f.is_pure() for f in forward)
         back = log_recouple("backward", forward)
@@ -348,7 +353,7 @@ class TestLogRecouple:
         base = FracQSeries(1, 3, 1, [1.0])
         u_factor = 1.0 / (2j * math.pi)
         x0 = LogQExpansion({0: base})
-        x1 = LogQExpansion({1: combine("scale", base, factor=u_factor)})
+        x1 = LogQExpansion({1: base * u_factor})
         h0, h1 = log_recouple("forward", [x0, x1])
         assert abs(h0.evaluate(1j) - base.evaluate(1j)) < 1e-14
         # the recoupled second component collapses to zero for this fixture
@@ -360,7 +365,7 @@ class TestLogRecouple:
         base = FracQSeries(1, 3, 1, [1.0])
         u_factor = 1.0 / (2j * math.pi)
         x0 = LogQExpansion({0: base})
-        x1 = LogQExpansion({1: combine("scale", base, factor=u_factor)})
+        x1 = LogQExpansion({1: base * u_factor})
         tau = 0.4 + 1.3j
         assert abs(x0.evaluate(tau + 1) - lam * x0.evaluate(tau)) < 1e-12
         assert abs(x1.evaluate(tau + 1) - lam * (x1.evaluate(tau) + x0.evaluate(tau))) < 1e-12
