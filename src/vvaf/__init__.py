@@ -8,22 +8,4 @@ coefficient-growth verification (:mod:`vvaf.growth`), L-functions
 (:mod:`vvaf.lfunc`) and exponential sums (:mod:`vvaf.expsum`).
 """
 
-from vvaf.moebius import (
-    INF,
-    GroupElement,
-    Word,
-    apply_moebius,
-    classify,
-    cusp_width,
-    eichler_shift,
-    gamma0_n,
-    gamma_n,
-    gen_s,
-    gen_t,
-    j_factor,
-    psl2z,
-    scaling_matrix,
-    word_decompose,
-)
-
 __version__ = "0.1.0"

@@ -1,10 +1,8 @@
 """Exact arithmetic and word machinery for elements of PSL2(Z).
 
-Elements are 2x2 determinant-one matrices identified up to sign.  Integer
-entries are kept exact (Python ints), cusp-scaling matrices may carry
-rational (``fractions.Fraction``) or float entries.  Everything here is
-immutable and side-effect free, so the whole module is safe to use from
-multiple threads.
+Elements are 2x2 determinant-one matrices with Python int entries,
+identified up to sign.  Everything here is immutable and side-effect free,
+so the whole module is safe to use from multiple threads.
 
 The point at infinity is represented by ``math.inf`` and is a first-class
 value for the Moebius action.
@@ -14,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -34,7 +33,6 @@ __all__ = [
     "classify",
     "j_factor",
     "word_decompose",
-    "scaling_matrix",
     "integral_scaling_matrix",
     "cusp_width",
     "eichler_shift",
@@ -44,52 +42,43 @@ __all__ = [
 
 INF = math.inf
 
-_FLOAT_DET_TOL = 1e-12
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A determinant-one 2x2 matrix up to sign.
+    """A determinant-one integer 2x2 matrix up to sign.
 
-    The sign is normalized so that the first nonzero entry of the bottom
-    row ``(c, d)`` is positive; normalizing twice is the same as
-    normalizing once, and ``g`` and ``-g`` normalize identically.
+    Entries are stored as Python ints; anything ``operator.index`` accepts
+    (numpy integers, say) is converted and anything else is refused.  The
+    sign is normalized so that the first nonzero entry of the bottom row
+    ``(c, d)`` is positive; normalizing twice is the same as normalizing
+    once, and ``g`` and ``-g`` normalize identically.  The entries are then
+    canonical, so the dataclass equality and hash are exact.
     """
 
-    a: object
-    b: object
-    c: object
-    d: object
+    a: int
+    b: int
+    c: int
+    d: int
 
     def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+        entries = (self.a, self.b, self.c, self.d)
+        try:
+            a, b, c, d = map(operator.index, entries)
+        except TypeError:
+            bad = ", ".join(f"{n}={x!r}" for n, x in zip("abcd", entries) if not hasattr(x, "__index__"))
+            raise ValueError(f"entries must be integers, got {bad}") from None
         det = a * d - b * c
-        if all(_is_exact(x) for x in (a, b, c, d)):
-            if det != 1:
-                raise ValueError(f"determinant must be 1, got {det}")
-        else:
-            if abs(det - 1.0) > _FLOAT_DET_TOL:
-                raise ValueError(f"determinant must be 1 within {_FLOAT_DET_TOL}, got {det}")
+        if det != 1:
+            raise ValueError(f"determinant must be 1, got {det}")
         # sign normalization: first nonzero of (c, d) positive
-        if c != 0:
-            flip = c < 0
-        else:
-            flip = d < 0
-        if flip:
-            object.__setattr__(self, "a", -a)
-            object.__setattr__(self, "b", -b)
-            object.__setattr__(self, "c", -c)
-            object.__setattr__(self, "d", -d)
+        if c < 0 or (c == 0 and d < 0):
+            a, b, c, d = -a, -b, -c, -d
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     # -- basic structure ------------------------------------------------
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for x in self.entries())
 
     def entries(self) -> tuple:
         return (self.a, self.b, self.c, self.d)
@@ -126,44 +115,15 @@ class GroupElement:
             n >>= 1
         return result
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        if self.is_integral and other.is_integral:
-            return self.entries() == other.entries()
-        return all(
-            abs(float(x) - float(y)) <= 1e-9 * max(1.0, abs(float(x)))
-            for x, y in zip(self.entries(), other.entries())
-        )
-
-    def __hash__(self):
-        return hash(self.entries())
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
-        def enc(x):
-            return x if isinstance(x, int) else str(x)
-
-        return json.dumps([[enc(self.a), enc(self.b)], [enc(self.c), enc(self.d)]])
+        return json.dumps([[self.a, self.b], [self.c, self.d]])
 
     @staticmethod
     def from_json(text: str) -> "GroupElement":
-        rows = json.loads(text)
-
-        def dec(x):
-            if isinstance(x, int):
-                return x
-            if isinstance(x, float):
-                return x
-            if "/" in x:
-                return Fraction(x)
-            try:
-                return int(x)
-            except ValueError:
-                return float(x)
-
-        return GroupElement(dec(rows[0][0]), dec(rows[0][1]), dec(rows[1][0]), dec(rows[1][1]))
+        (a, b), (c, d) = json.loads(text)
+        return GroupElement(a, b, c, d)
 
 
 def identity() -> GroupElement:
@@ -191,7 +151,7 @@ def apply_moebius(g: GroupElement, tau):
     Maps the upper half plane to itself; a real fixed point of the
     denominator or the point at infinity returns ``INF`` or ``a/c``.
     """
-    a, b, c, d = (complex(x) if not isinstance(x, (int, float, Fraction)) else x for x in g.entries())
+    a, b, c, d = g.entries()
     if tau == INF:
         if c == 0:
             return INF
@@ -204,8 +164,7 @@ def apply_moebius(g: GroupElement, tau):
     if isinstance(tau, complex) and tau.imag != 0:
         # det = 1 makes Im(g tau) = Im(tau)/|c tau + d|^2 exactly; computing it
         # this way avoids the cancellation of the plain complex quotient
-        det = float(a * d - b * c)
-        return complex(w.real, tau.imag * det / abs(den) ** 2)
+        return complex(w.real, tau.imag / abs(den) ** 2)
     return w
 
 
@@ -214,16 +173,11 @@ def classify(g: GroupElement) -> str:
     if g == identity():
         return "identity"
     tr = abs(g.trace())
-    if g.is_integral:
-        if tr < 2:
-            return "elliptic"
-        if tr == 2:
-            return "parabolic"
-        return "hyperbolic"
-    tr = float(tr)
-    if abs(tr - 2.0) <= 1e-9:
+    if tr < 2:
+        return "elliptic"
+    if tr == 2:
         return "parabolic"
-    return "elliptic" if tr < 2.0 else "hyperbolic"
+    return "hyperbolic"
 
 
 def j_factor(g: GroupElement, tau) -> complex:
@@ -290,15 +244,13 @@ def _reduce_letters(letters: Iterable) -> tuple:
 
 
 def word_decompose(g: GroupElement) -> Word:
-    """Write an integral element as a word in s and t.
+    """Write an element as a word in s and t.
 
     Euclidean reduction on the bottom row: peel t^n from the left with n
     the nearest integer to a/c, then swap rows with s.  The magnitude of c
     at least halves per round, so the word length is O(log max entry).
     Evaluating the word reproduces ``g`` up to sign.
     """
-    if not g.is_integral:
-        raise ValueError("word decomposition requires integer entries")
     letters: list = []
     a, b, c, d = g.entries()
     while c != 0:
@@ -319,19 +271,6 @@ def word_decompose(g: GroupElement) -> Word:
 
 
 # -- cusps and scaling matrices ---------------------------------------------
-
-
-def scaling_matrix(cusp) -> GroupElement:
-    """The real scaling matrix sending infinity to the cusp.
-
-    Finite cusps get ((cusp, -1), (1, 0)); infinity maps to the identity.
-    """
-    if cusp == INF:
-        return identity()
-    if isinstance(cusp, float) and not cusp.is_integer():
-        return GroupElement(cusp, -1.0, 1.0, 0.0)
-    value = Fraction(cusp) if not isinstance(cusp, Fraction) else cusp
-    return GroupElement(value, Fraction(-1), Fraction(1), Fraction(0))
 
 
 def integral_scaling_matrix(cusp) -> GroupElement:
@@ -375,7 +314,7 @@ def _xgcd(a: int, b: int) -> tuple:
 class SubgroupDescriptor:
     """A finite-index subgroup given by a membership predicate.
 
-    ``contains`` accepts an integral GroupElement; ``index`` bounds the
+    ``contains`` accepts a GroupElement; ``index`` bounds the
     index in PSL2(Z) and also bounds all coset searches.
     """
 
@@ -388,7 +327,7 @@ class SubgroupDescriptor:
 
 
 def psl2z() -> SubgroupDescriptor:
-    return SubgroupDescriptor("PSL2Z", lambda g: g.is_integral, 1)
+    return SubgroupDescriptor("PSL2Z", lambda g: True, 1)
 
 
 def _prime_factors(n: int) -> list:
@@ -413,8 +352,6 @@ def gamma_n(n: int) -> SubgroupDescriptor:
         return psl2z()
 
     def contains(g: GroupElement) -> bool:
-        if not g.is_integral:
-            return False
         a, b, c, d = g.entries()
         for sign in (1, -1):
             if (
@@ -442,7 +379,7 @@ def gamma0_n(n: int) -> SubgroupDescriptor:
         return psl2z()
 
     def contains(g: GroupElement) -> bool:
-        return g.is_integral and g.c % n == 0
+        return g.c % n == 0
 
     index = n
     for p in _prime_factors(n):

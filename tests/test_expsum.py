@@ -96,6 +96,11 @@ class TestBoundScan:
         with pytest.raises(ValueError, match="cutoffs must be at least 1"):
             bound_scan(delta_form(100), THETAS, cutoffs, alpha=0.0)
 
+    @pytest.mark.parametrize("thetas, cutoffs, name", [([0.0], [], "cutoffs"), ([], [10], "thetas")])
+    def test_refuses_empty_lists(self, thetas, cutoffs, name):
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            bound_scan(delta_form(50), thetas, cutoffs, alpha=0.0)
+
     def test_serializable(self):
         import json
 

@@ -23,7 +23,6 @@ from vvaf.moebius import (
     left_transversal,
     psl2z,
     random_element,
-    scaling_matrix,
     t_power,
     word_decompose,
 )
@@ -60,8 +59,23 @@ class TestGroupElement:
     def test_json_round_trip(self):
         g = GroupElement(2, 1, 1, 1)
         assert GroupElement.from_json(g.to_json()) == g
-        a = scaling_matrix(Fraction(1, 2))
-        assert GroupElement.from_json(a.to_json()) == a
+
+    @pytest.mark.parametrize("entries", [(1.0, 0, 0, 1), (Fraction(1, 2), 0, 0, 2), (1, 0, 0, "1")])
+    def test_refuses_non_integer_entries(self, entries):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            GroupElement(*entries)
+
+    def test_numpy_integers_become_ints(self):
+        g = GroupElement(np.int64(2), 1, 1, 1)
+        assert g == GroupElement(2, 1, 1, 1)
+        assert all(type(x) is int for x in g.entries())
+        assert word_decompose(g).evaluate() == g
+
+    def test_sign_classes_collapse_in_set_and_dict(self):
+        g = GroupElement(2, 1, 1, 1)
+        neg = GroupElement(-2, -1, -1, -1)
+        assert len({g, neg}) == 1
+        assert {g: "g", neg: "neg"} == {g: "neg"}
 
 
 class TestApply:
@@ -164,8 +178,9 @@ class TestWordDecompose:
         assert product == g
 
     def test_rejects_non_integral(self):
-        with pytest.raises(ValueError):
-            word_decompose(scaling_matrix(Fraction(1, 2)))
+        # a non-integral matrix never becomes an element, so it never reaches word_decompose
+        with pytest.raises(ValueError, match=r"entries must be integers, got a=Fraction\(1, 2\)$"):
+            word_decompose(GroupElement(Fraction(1, 2), -1, 1, 0))
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(17)
@@ -195,12 +210,6 @@ class TestWordDecompose:
 
 
 class TestCusps:
-    def test_scaling_matrix_values(self):
-        assert scaling_matrix(0).entries() == (0, -1, 1, 0)
-        assert scaling_matrix(2).entries() == (2, -1, 1, 0)
-        assert apply_moebius(scaling_matrix(2), INF) == 2
-        assert scaling_matrix(INF) == identity()
-
     def test_cusp_width_full_group(self):
         assert cusp_width(psl2z(), INF) == 1
 
@@ -215,7 +224,7 @@ class TestCusps:
 
     def test_integral_scaling(self):
         sigma = integral_scaling_matrix(Fraction(1, 2))
-        assert sigma.is_integral
+        assert all(type(x) is int for x in sigma.entries())
         assert apply_moebius(sigma, INF) == 0.5
 
     def test_cusp_classes_gamma2(self):
