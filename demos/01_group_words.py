@@ -6,6 +6,8 @@ through the decomposition, the trace classification and congruence-cusp
 widths.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from vvaf.moebius import (
@@ -39,7 +41,7 @@ print(f"  (5,2;2,1) = t^{n} * {tail.entries()}")
 print("\ncusp widths in congruence subgroups:")
 print("  Gamma(2) at infinity:", cusp_width(gamma_n(2), np.inf))
 print("  Gamma0(4) at 0:      ", cusp_width(gamma0_n(4), 0))
-print("  Gamma0(4) at 1/2:    ", cusp_width(gamma0_n(4), 0.5))
+print("  Gamma0(4) at 1/2:    ", cusp_width(gamma0_n(4), Fraction(1, 2)))
 
 print("\ncusp classes of Gamma(2): (cusp, width)")
 for cusp, width, _ in cusp_classes(gamma_n(2)):

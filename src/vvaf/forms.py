@@ -94,27 +94,24 @@ class VVAF:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, tau: complex, with_tail: bool = False):
-        """Component vector at tau; optionally with a tail estimate."""
-        values = np.empty(self.m, dtype=complex)
-        tails = np.zeros(self.m)
-        for i, comp in enumerate(self.basis_components):
-            if with_tail:
-                values[i], tails[i] = comp.evaluate(tau, with_tail=True)
-            else:
-                values[i] = comp.evaluate(tau)
-        out = self.P @ values
+        """Component vector at tau, optionally with a tail bound: one row of :meth:`evaluate_many`."""
         if with_tail:
-            return out, float(np.max(np.abs(self.P) @ tails))
-        return out
+            values, tails = self.evaluate_many([tau], with_tail=True)
+            return values[0], float(tails[0])
+        return self.evaluate_many([tau])[0]
 
-    def evaluate_many(self, taus) -> np.ndarray:
+    def evaluate_many(self, taus, with_tail: bool = False):
         """Component vectors at a 1-d array of points, one row per point.
 
-        The vectorized form of :meth:`evaluate` (without tail estimates);
-        refuses the batch if any point has |q| > 0.995.
+        With ``with_tail`` also returns, per point, the largest tail bound
+        of a plain component, through |P|.  Refuses the batch if any point
+        has |q| > 0.995.
         """
-        values = np.stack([comp.evaluate_many(taus) for comp in self.basis_components], axis=-1)
-        return values @ self.P.T
+        parts = [comp.evaluate_many(taus, with_tail) for comp in self.basis_components]
+        if not with_tail:
+            return np.stack(parts, axis=-1) @ self.P.T
+        values, tails = (np.stack(part, axis=-1) for part in zip(*parts))
+        return values @ self.P.T, np.max(tails @ np.abs(self.P).T, axis=-1)
 
     def component_expansion(self, i: int) -> LogQExpansion:
         """The plain i-th component as a mixed-offset expansion."""
@@ -133,7 +130,7 @@ class VVAF:
         """Array v[n, i]: coefficient of the i-th basis component at n + mu_i.
 
         Logarithmic components contribute the log-free slot; use
-        :meth:`log_slot_coefficients` for the full slot table.
+        :meth:`log_slots` for the full slot table.
         """
         out = np.zeros((nmax + 1, self.m), dtype=complex)
         for i, (comp, off) in enumerate(zip(self.basis_components, self.mu_offsets)):
@@ -214,20 +211,16 @@ def check_transformation(X: VVAF, gamma: GroupElement, taus, tail_bound: float =
     taus = [complex(tau) for tau in taus]
     if not taus:
         raise ValueError("no sample points to check the transformation at")
-    rho_gamma = X.rep.evaluate(gamma)
-    worst = 0.0
-    for tau in taus:
-        image = apply_moebius(gamma, tau)
-        lhs, tail1 = X.evaluate(image, with_tail=True)
-        rhs, tail2 = X.evaluate(tau, with_tail=True)
-        if max(tail1, tail2) > tail_bound:
-            raise ValueError(
-                f"truncation tail {max(tail1, tail2):.2e} exceeds {tail_bound:.2e} at tau={tau}"
-            )
-        j = j_factor(gamma, tau)
-        residual = float(np.linalg.norm(j ** (-X.k) * lhs - rho_gamma @ rhs))
-        worst = max(worst, residual)
-    return worst
+    lhs, tail1 = X.evaluate_many([apply_moebius(gamma, tau) for tau in taus], with_tail=True)
+    rhs, tail2 = X.evaluate_many(taus, with_tail=True)
+    tails = np.maximum(tail1, tail2)
+    over = np.flatnonzero(tails > tail_bound)
+    if len(over):
+        i = over[0]
+        raise ValueError(f"truncation tail {tails[i]:.2e} exceeds {tail_bound:.2e} at tau={taus[i]}")
+    weights = np.array([j_factor(gamma, tau) ** (-X.k) for tau in taus])
+    residuals = np.linalg.norm(weights[:, None] * lhs - rhs @ X.rep.evaluate(gamma).T, axis=-1)
+    return float(np.max(residuals))
 
 
 # -- built-in forms ---------------------------------------------------------------

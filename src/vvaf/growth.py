@@ -138,16 +138,11 @@ def supnorm_scan(X: VVAF, exponent: float, nx: int = 40, ny: int = 40, y_min: fl
     """
     xs = np.linspace(0.0, X.h, nx, endpoint=False)
     ys = np.geomspace(y_min, y_max, ny)
-    low, high = 0.0, 0.0
-    for y in ys:
-        weight = y**exponent
-        for x in xs:
-            value = float(np.linalg.norm(X.evaluate(complex(x, y))))
-            weighted = weight * value
-            if y < 1.0:
-                low = max(low, weighted)
-            else:
-                high = max(high, weighted)
+    norms = np.linalg.norm(X.evaluate_many((xs + 1j * ys[:, None]).ravel()), axis=-1)
+    weighted = ys[:, None] ** exponent * norms.reshape(ny, nx)
+    below = ys < 1.0
+    low = float(np.max(weighted[below], initial=0.0))
+    high = float(np.max(weighted[~below], initial=0.0))
     maximum = max(low, high)
     verdict = "PASS" if (maximum == 0.0 or low <= RATIO_DRIFT_FACTOR * max(high, 1e-300)) else "FAIL"
     return {
@@ -192,15 +187,12 @@ def converse_growth_check(
 
     hypothesis_constant = 0.0
     if strip_samples is not None:
-        for tau in strip_samples:
-            tau = complex(tau)
-            value = float(np.linalg.norm(X.evaluate(tau)))
-            if logarithmic:
-                m = rep.m
-                envelope = max(abs(tau) ** j for j in range(m)) * tau.imag ** (-zeta)
-            else:
-                envelope = tau.imag ** (-zeta)
-            hypothesis_constant = max(hypothesis_constant, value / envelope)
+        taus = np.asarray(strip_samples, dtype=complex)
+        values = np.linalg.norm(X.evaluate_many(taus), axis=-1)
+        envelope = taus.imag ** (-zeta)
+        if logarithmic:
+            envelope *= np.max(np.abs(taus)[:, None] ** np.arange(rep.m), axis=-1)
+        hypothesis_constant = float(np.max(values / envelope, initial=0.0))
 
     if blocks is None:
         blocks = [range(0, rep.m)]
@@ -253,7 +245,7 @@ def vanishing_check(k: int, alpha: float, candidate: VVAF | None = None, grid=No
         return result
     if grid is None:
         grid = [complex(x, y) for x in np.linspace(0.05, 0.95, 6) for y in (0.4, 1.0, 2.5)]
-    max_norm = max(float(np.linalg.norm(candidate.evaluate(complex(tau)))) for tau in grid)
+    max_norm = float(np.max(np.linalg.norm(candidate.evaluate_many(grid), axis=-1)))
     result["max_norm"] = max_norm
     result["consistent"] = max_norm < tol
     return result

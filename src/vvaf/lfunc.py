@@ -13,10 +13,11 @@ inversion element, which is the numerical form of analytic continuation;
 its error estimate is a quadrature heuristic.
 
 The form values at the quadrature nodes do not depend on s, so each
-quadrature rule evaluates the form once, in one vectorized batch per
-panel, and keeps nodes, weights and values in a memo on the form
-instance; every later Mellin integral with that rule, at any s, is one
-dot product.  The memo grows by one entry per (lower limit, rule) pair.
+quadrature rule evaluates the form once, in one call of the evaluation
+kernel (which chunks the batch itself), and keeps nodes, weights and
+values in a memo on the form instance; every later Mellin integral with
+that rule, at any s, is one dot product.  The memo grows by one entry
+per (lower limit, rule) pair.
 
 Everything is pure: the memo holds only values computed from the
 immutable form, so L-values over a grid of arguments can be computed
@@ -207,10 +208,7 @@ def _node_set(X: VVAF, lower: float, n_panels: int, nodes_per_panel: int) -> tup
     halves = 0.5 * (edges[1:] - edges[:-1])
     ys = (mids[:, None] + halves[:, None] * nodes).ravel()
     ws = (halves[:, None] * weights).ravel()
-    # one panel per product keeps the exp(outer) temporary near a megabyte
-    values = np.concatenate(
-        [X.evaluate_many(1j * X.h * ys[i : i + nodes_per_panel]) for i in range(0, len(ys), nodes_per_panel)]
-    )
+    values = X.evaluate_many(1j * X.h * ys)
     for array in (ys, ws, values):
         array.setflags(write=False)
     entry = memo[key] = (ys, ws, values)

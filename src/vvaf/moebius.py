@@ -274,9 +274,15 @@ def word_decompose(g: GroupElement) -> Word:
 
 
 def integral_scaling_matrix(cusp) -> GroupElement:
-    """An element of PSL2(Z) sending infinity to the rational cusp."""
+    """An element of PSL2(Z) sending infinity to the rational cusp.
+
+    A cusp is ``INF``, an int or a ``Fraction``; a float is refused, since
+    it stands for its binary rational, not for the cusp it approximates.
+    """
     if cusp == INF:
         return identity()
+    if not isinstance(cusp, (int, Fraction)):
+        raise ValueError(f"cusp must be INF, an int or a Fraction, got {cusp!r}")
     frac = Fraction(cusp)
     p, q = frac.numerator, frac.denominator
     # p*d - b*q = 1 via the extended Euclidean algorithm

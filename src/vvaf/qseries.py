@@ -30,10 +30,20 @@ __all__ = [
 
 _Q_ABS_LIMIT = 0.995
 _BIG_CONV = 8192
+_CHUNK_BYTES = 1 << 19  # one evaluate_many chunk; its three passes then run in cache
 
 
 def _lcm(a: int, b: int) -> int:
     return a * b // math.gcd(a, b)
+
+
+def _two_pi_i_over(taus: np.ndarray, n: int) -> np.ndarray:
+    """2 pi i tau / n, divided part by part like a Python complex by an int.
+
+    numpy's complex division rounds differently, which would move the
+    values of the series in their last bits.
+    """
+    return ((2j * math.pi * taus).view(float) / n).view(complex)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,50 +140,44 @@ class FracQSeries:
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, tau: complex, with_tail: bool = False):
-        """Value at tau, optionally with a geometric tail bound.
-
-        Refuses points with |q| > 0.995 where the tail bound is
-        meaningless.
-        """
-        q_abs = math.exp(-2 * math.pi * tau.imag / self.h)
-        if q_abs > _Q_ABS_LIMIT:
-            raise ValueError(f"|q| = {q_abs:.4f} too close to 1; move tau upward")
-        if self.is_zero():
-            return (0j, self._tail(q_abs)) if with_tail else 0j
-        w = 2j * math.pi * tau / (self.h * self.D)
-        exponents = self.start + np.arange(len(self.coeffs))
-        value = complex(np.sum(self.coeffs * np.exp(w * exponents)))
+        """Value at tau, optionally with a geometric tail bound: one row of :meth:`evaluate_many`."""
         if with_tail:
-            return value, self._tail(q_abs)
-        return value
+            values, tails = self.evaluate_many([tau], with_tail=True)
+            return complex(values[0]), float(tails[0])
+        return complex(self.evaluate_many([tau])[0])
 
-    def evaluate_many(self, taus) -> np.ndarray:
-        """Values at an array of points, as :meth:`evaluate` gives them one by one.
+    def evaluate_many(self, taus, with_tail: bool = False):
+        """Values at an array of points, optionally with geometric tail bounds.
 
-        One matrix product exp(outer(w, exponents)) @ coeffs; its one
-        temporary holds len(taus) * len(self) complex numbers, so callers
-        chunk large batches.  Refuses the batch if any point has |q| > 0.995.
+        The one kernel that turns coefficients into values.  Each value is
+        the pairwise sum of c_j exp(w (start + j)), w = 2 pi i tau/(h D),
+        so it has the bits of a 1-d ``np.sum`` over the terms; the batch
+        runs in chunks of half a megabyte of temporaries.  Refuses the
+        batch if any point has |q| > 0.995, where the tail bound is
+        meaningless.
         """
         taus = np.asarray(taus, dtype=complex)
         q_abs = np.exp(-2 * math.pi * taus.imag / self.h)
         if np.any(q_abs > _Q_ABS_LIMIT):
             raise ValueError(f"|q| = {float(np.max(q_abs)):.4f} too close to 1; move tau upward")
-        if self.is_zero():
-            return np.zeros(taus.shape, dtype=complex)
-        w = 2j * math.pi * taus / (self.h * self.D)
-        exponents = self.start + np.arange(len(self.coeffs))
-        phases = np.multiply.outer(w, exponents)
-        return np.exp(phases, out=phases) @ self.coeffs
-
-    def _tail(self, q_abs: float) -> float:
+        values = np.zeros(taus.shape, dtype=complex)
+        if not self.is_zero():
+            w = _two_pi_i_over(taus.ravel(), self.h * self.D)
+            # complex up front, as the product would cast them chunk by chunk
+            exponents = (self.start + np.arange(len(self.coeffs))).astype(complex)
+            rows = max(1, _CHUNK_BYTES // (16 * len(exponents)))
+            flat = values.reshape(-1)
+            for lo in range(0, len(w), rows):
+                terms = np.multiply.outer(w[lo : lo + rows], exponents)
+                np.exp(terms, out=terms)
+                terms *= self.coeffs
+                flat[lo : lo + rows] = terms.sum(axis=-1)
+        if not with_tail:
+            return values
         if self.order is None:
-            return 0.0
+            return values, np.zeros(taus.shape)
         cap = float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 1.0
-        step = q_abs ** (1.0 / self.D)
-        return cap * q_abs ** float(self.order) / (1.0 - step)
-
-    def __call__(self, tau: complex) -> complex:
-        return self.evaluate(tau)
+        return values, cap * q_abs ** float(self.order) / (1.0 - q_abs ** (1.0 / self.D))
 
     # -- arithmetic -------------------------------------------------------------
     # Sums and products merge exponent grids via the lcm of the denominators,
@@ -512,15 +516,15 @@ def coefficient_integral(f, n: int, offset, y: float = 1.0, T: int = 256, h: int
         for e, _ in f.occupied():
             span = max(span, abs(int((e - target) * p)))
         T = max(T, 2 * span // max(p, 1) + 8)
-        func = f.evaluate
+        values_at = f.evaluate_many
     else:
         p = 1 if periods is None else periods
-        func = f
+        values_at = lambda taus: np.array([f(complex(tau)) for tau in taus])  # noqa: E731
     total = T * p
     xs = np.arange(total) * (h / T)
     taus = xs + 1j * y
     freq = -2j * math.pi * float(offset + n) / h
-    values = np.array([func(complex(tau)) for tau in taus])
+    values = values_at(taus)
     return complex(np.sum(values * np.exp(freq * taus)) / total)
 
 
@@ -576,30 +580,30 @@ class LogQExpansion:
         return sorted(out)
 
     def evaluate(self, tau: complex, with_tail: bool = False):
-        log_q = 2j * math.pi * tau / self.h
-        value = 0j
-        tail = 0.0
+        """Value at tau, optionally with a tail bound: one row of :meth:`evaluate_many`."""
+        if with_tail:
+            values, tails = self.evaluate_many([tau], with_tail=True)
+            return complex(values[0]), float(tails[0])
+        return complex(self.evaluate_many([tau])[0])
+
+    def evaluate_many(self, taus, with_tail: bool = False):
+        """Values at an array of points; see :meth:`FracQSeries.evaluate_many`.
+
+        The tail bound of a log power j is |log q|^j times that of its series.
+        """
+        taus = np.asarray(taus, dtype=complex)
+        log_q = _two_pi_i_over(taus.ravel(), self.h).reshape(taus.shape)
+        value = np.zeros(taus.shape, dtype=complex)
+        tail = np.zeros(taus.shape)
         for j, series in self.terms.items():
             weight = log_q**j
             if with_tail:
-                v, t = series.evaluate(tau, with_tail=True)
-                value += weight * v
-                tail += abs(weight) * t
+                v, t = series.evaluate_many(taus, with_tail=True)
+                tail += np.abs(weight) * t
             else:
-                value += weight * series.evaluate(tau)
+                v = series.evaluate_many(taus)
+            value += weight * v
         return (value, tail) if with_tail else value
-
-    def evaluate_many(self, taus) -> np.ndarray:
-        """Values at an array of points; see :meth:`FracQSeries.evaluate_many`."""
-        taus = np.asarray(taus, dtype=complex)
-        log_q = 2j * math.pi * taus / self.h
-        value = np.zeros(taus.shape, dtype=complex)
-        for j, series in self.terms.items():
-            value += log_q**j * series.evaluate_many(taus)
-        return value
-
-    def __call__(self, tau: complex) -> complex:
-        return self.evaluate(tau)
 
     def scale(self, factor) -> "LogQExpansion":
         return LogQExpansion({j: s * factor for j, s in self.terms.items()}, h=self.h)

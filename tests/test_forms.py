@@ -193,6 +193,29 @@ def _term_scale(X, tau):
     return total * float(np.max(np.abs(X.P)))
 
 
+def _per_point_vector(X, tau):
+    """X(tau) and its tail bound, summed point by point as the reference for the kernel.
+
+    Each series term sum has a Python-complex phase and a 1-d np.sum.
+    """
+    values, tails = [], []
+    for comp in X.basis_components:
+        log_q = 2j * math.pi * tau / comp.h
+        q_abs = math.exp(-2 * math.pi * tau.imag / comp.h)
+        value, tail = 0j, 0.0
+        for j, series in comp.terms.items():
+            if not series.is_zero():
+                w = 2j * math.pi * tau / (series.h * series.D)
+                exponents = series.start + np.arange(len(series))
+                value += log_q**j * complex(np.sum(series.coeffs * np.exp(w * exponents)))
+            if series.order is not None:
+                cap = float(np.max(np.abs(series.coeffs))) if len(series) else 1.0
+                tail += abs(log_q) ** j * cap * q_abs ** float(series.order) / (1.0 - q_abs ** (1.0 / series.D))
+        values.append(value)
+        tails.append(tail)
+    return X.P @ np.array(values), float(np.max(np.abs(X.P) @ np.array(tails)))
+
+
 class TestEvaluateMany:
     def test_rows_match_evaluate(self):
         rng = np.random.default_rng(211)
@@ -200,11 +223,15 @@ class TestEvaluateMany:
         for name in BUILTIN_FORMS:
             X = builtin_form(name)
             rows = X.evaluate_many(taus)
-            assert rows.shape == (len(taus), X.m)
-            for tau, row in zip(taus, rows):
-                single = X.evaluate(complex(tau))
+            tail_rows, tails = X.evaluate_many(taus, with_tail=True)
+            assert rows.shape == tail_rows.shape == (len(taus), X.m)
+            assert tails.shape == (len(taus),)
+            for tau, row, tail_row, tail in zip(taus, rows, tail_rows, tails):
+                single, single_tail = _per_point_vector(X, complex(tau))
                 scale = max(float(np.max(np.abs(single))), _term_scale(X, complex(tau)))
                 assert np.max(np.abs(row - single)) <= 1e-13 * scale
+                assert np.max(np.abs(tail_row - single)) <= 1e-13 * scale
+                assert abs(tail - single_tail) <= 1e-12 * single_tail
 
     def test_refuses_near_real_line(self):
         X = delta_form(200)
@@ -238,6 +265,13 @@ class TestTransformation:
     def test_empty_sample_set_refused(self):
         with pytest.raises(ValueError, match="no sample points"):
             check_transformation(delta_form(80), gen_s(), [])
+
+    def test_refuses_sample_over_tail_bound(self):
+        # the truncated weight-12 series leaves a large tail low in the strip;
+        # the first sample over the bound is named
+        taus = [0.3 + 1.5j, 0.2 + 0.1j, 0.4 + 0.05j]
+        with pytest.raises(ValueError, match=r"exceeds 1\.00e-10 at tau=\(0\.2\+0\.1j\)"):
+            check_transformation(delta_form(20), gen_t(), taus)
 
     def test_tail_guard_raises(self):
         X = theta_eta_form(10)

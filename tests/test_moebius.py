@@ -222,6 +222,15 @@ class TestCusps:
         assert cusp_width(gamma0_n(4), INF) == 1
         assert cusp_width(gamma0_n(4), 0) == 4
 
+    def test_float_cusp_refused(self):
+        # 1/3 as a float is a rational with denominator 2^54, a cusp of width 1
+        assert cusp_width(gamma0_n(4), Fraction(1, 3)) == 4
+        with pytest.raises(ValueError, match=r"cusp must be INF, an int or a Fraction, got 0\.333"):
+            cusp_width(gamma0_n(4), 1 / 3)
+        with pytest.raises(ValueError, match="got 0.5"):
+            integral_scaling_matrix(0.5)
+        assert cusp_width(gamma_n(2), float("inf")) == 2  # the float infinity is INF
+
     def test_integral_scaling(self):
         sigma = integral_scaling_matrix(Fraction(1, 2))
         assert all(type(x) is int for x in sigma.entries())

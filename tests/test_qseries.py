@@ -29,6 +29,17 @@ def mp_theta(variant: int, tau: complex) -> complex:
     return complex(mpmath.jtheta(variant, 0, mpmath.exp(1j * mpmath.pi * tau)))
 
 
+def _per_point_value(series: FracQSeries, tau: complex) -> complex:
+    """sum_j c_j q^((start+j)/D) at one point, the reference for the kernel.
+
+    The phase is a Python complex and the terms are summed by a 1-d
+    np.sum, which is how the series was evaluated point by point.
+    """
+    w = 2j * math.pi * tau / (series.h * series.D)
+    exponents = series.start + np.arange(len(series.coeffs))
+    return complex(np.sum(series.coeffs * np.exp(w * exponents)))
+
+
 class TestEta:
     def test_first_twelve_coefficients(self):
         eta = eta_series(30)
@@ -322,6 +333,20 @@ class TestCoefficientIntegral:
             offset = exponent - n
             got = coefficient_integral(x3, n, offset, y=0.1, T=256)
             assert abs(got - coeff) < 1e-9
+
+    def test_zero_coefficients_match_per_point_sums(self):
+        # the trapezoid sum at a zero coefficient of eta is pure rounding
+        # noise, so it is reproducible only if every sample has the bits of
+        # the per-point sum
+        eta = eta_series(40)
+        y, T = 0.1, 256
+        taus = np.arange(T) * (1 / T) + 1j * y  # one period: eta has the single offset 1/24
+        values = np.array([_per_point_value(eta, complex(tau)) for tau in taus])
+        for n in (3, 4, 6, 8, 9):
+            assert eta.coefficient(n + Fraction(1, 24)) == 0
+            freq = -2j * math.pi * float(n + Fraction(1, 24))
+            reference = complex(np.sum(values * np.exp(freq * taus)) / T)
+            assert coefficient_integral(eta, n, Fraction(1, 24), y=y, T=T) == reference
 
     def test_black_box_callable(self):
         eta = eta_series(40)
