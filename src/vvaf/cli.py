@@ -22,7 +22,7 @@ import numpy as np
 
 from vvaf.expsum import bound_scan
 from vvaf.forms import BUILTIN_FORMS, builtin_form, check_transformation
-from vvaf.growth import coefficient_growth_report, mean_square
+from vvaf.growth import coefficient_growth_report, coefficient_norms, mean_square
 from vvaf.lfunc import completed_dirichlet_L, completed_L, functional_equation_sign
 from vvaf.moebius import GroupElement, gen_s, gen_t
 from vvaf.representation import (
@@ -199,7 +199,7 @@ def _vvaf_growth(args, config: RunConfig) -> tuple:
     report = coefficient_growth_report(X, args.N, alpha=config.alpha)
     artifacts = {f"vvaf_growth_{args.builtin}.json": {"report": report.as_dict()}}
     if config.format == "csv":
-        norms = np.max(np.abs(X.fourier_vectors(args.N)), axis=1)
+        norms = coefficient_norms(X, args.N)
         rows = [
             (n, float(norms[n]), float(n**report.target))
             for n in range(1, args.N + 1)

@@ -1,9 +1,10 @@
 """Exponential sums of Fourier coefficients and the associated bound scan.
 
 Sums are plain partial sums twisted by e(n theta); the scan divides them
-by the predicted envelope X^(sigma (k/2 + alpha)) log X and watches the
-ratio for drift across cutoffs.  Scans parallelize trivially over the
-(theta, cutoff) grid; everything here is pure.
+by the predicted envelope X^e log X, with e the form's
+``coefficient_exponent``, and watches the ratio for drift across
+cutoffs.  Scans parallelize trivially over the (theta, cutoff) grid;
+everything here is pure.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ def exp_sum(X: VVAF, theta: float, cutoff: int) -> np.ndarray:
     if cutoff < 1:
         return np.zeros(X.m, dtype=complex)
     phases = np.exp(2j * math.pi * theta * np.arange(cutoff))
-    if not X.is_logarithmic:
-        vectors = X.fourier_vectors(cutoff - 1)
-        return vectors.T @ phases
-    total = np.zeros(X.m, dtype=complex)
-    for i, off, j, series in X.log_slots():
-        coeffs = series.coefficients_on_offset(off, cutoff - 1)
-        basis_vec = np.zeros(X.m, dtype=complex)
-        basis_vec[i] = 1.0
-        total += (X.P @ basis_vec) * np.sum(coeffs * phases)
+    return _twisted_sum(X.coefficient_table(cutoff - 1), X.P, phases)
+
+
+def _twisted_sum(table: np.ndarray, P: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Sum over the log powers j of (c[j] P^T)^T phases."""
+    total = (table[0] @ P.T).T @ phases
+    for vectors in table[1:]:
+        total += (vectors @ P.T).T @ phases
     return total
 
 
@@ -65,9 +65,11 @@ class ExpSumScan:
 def bound_scan(X: VVAF, thetas, cutoffs, alpha: float = 0.0) -> ExpSumScan:
     """Scan the sums against the predicted envelope over a grid.
 
-    sigma is 1 for cusp forms and 2 for merely holomorphic ones.  The
-    verdict passes when the worst ratio at the largest cutoff stays within
-    a factor 3 of the worst ratio at the smallest cutoff.  Both lists must
+    The envelope is X^e log X with e = ``X.coefficient_exponent(alpha)``;
+    ``sigma`` records its factor on k/2 + alpha, 1 for cusp forms and 2
+    for merely holomorphic ones.  The verdict passes when the worst ratio
+    at the largest cutoff stays within a factor 3 of the worst ratio at
+    the smallest cutoff.  Both lists must
     be nonempty; cutoffs must be increasing and at least 1.
     """
     thetas = tuple(float(t) for t in thetas)
@@ -81,12 +83,15 @@ def bound_scan(X: VVAF, thetas, cutoffs, alpha: float = 0.0) -> ExpSumScan:
     if cutoffs[0] < 1:
         raise ValueError(f"cutoffs must be at least 1, got {cutoffs[0]}")
     sigma = 1 if X.cusp_form else 2
-    exponent = sigma * (X.k / 2.0 + alpha)
+    exponent = X.coefficient_exponent(alpha)
+    # one read and one set of phases at the largest cutoff; each cutoff sums a prefix
+    table = X.coefficient_table(cutoffs[-1] - 1)
     sums = np.zeros((len(thetas), len(cutoffs), X.m), dtype=complex)
     ratios = np.zeros((len(thetas), len(cutoffs)))
     for a, theta in enumerate(thetas):
+        phases = np.exp(2j * math.pi * theta * np.arange(cutoffs[-1]))
         for b, cutoff in enumerate(cutoffs):
-            value = exp_sum(X, theta, cutoff)
+            value = _twisted_sum(table[:, :cutoff], X.P, phases[:cutoff])
             sums[a, b] = value
             envelope = cutoff**exponent * math.log(max(cutoff, 2))
             ratios[a, b] = float(np.linalg.norm(value)) / envelope

@@ -126,30 +126,36 @@ class VVAF:
 
     # -- coefficient access ------------------------------------------------------
 
-    def basis_coefficients(self, nmax: int) -> np.ndarray:
-        """Array v[n, i]: coefficient of the i-th basis component at n + mu_i.
+    def coefficient_table(self, nmax: int) -> np.ndarray:
+        """Array c[j, n, i]: basis component i's log-power-j coefficient at n + mu_i.
 
-        Logarithmic components contribute the log-free slot; use
-        :meth:`log_slots` for the full slot table.
+        The one reader of coefficients on the offset grids, for n = 0..nmax.
+        The shape is (J + 1, nmax + 1, m) with J the largest log power; a
+        slot that does not exist reads 0.  Refuses a negative ``nmax``.
         """
-        out = np.zeros((nmax + 1, self.m), dtype=complex)
+        if nmax < 0:
+            raise ValueError(f"nmax must be at least 0, got {nmax}")
+        J = max((j for comp in self.basis_components for j in comp.terms), default=0)
+        out = np.zeros((J + 1, nmax + 1, self.m), dtype=complex)
         for i, (comp, off) in enumerate(zip(self.basis_components, self.mu_offsets)):
-            series = comp.terms.get(0)
-            if series is not None:
-                out[:, i] = series.coefficients_on_offset(off, nmax)
+            for j, series in comp.terms.items():
+                out[j, :, i] = series.coefficients_on_offset(off, nmax)
         return out
+
+    def basis_coefficients(self, nmax: int) -> np.ndarray:
+        """Array v[n, i]: the log-free slot c[0] of :meth:`coefficient_table`."""
+        return self.coefficient_table(nmax)[0]
 
     def fourier_vectors(self, nmax: int) -> np.ndarray:
         """Array X[n] = P v[n] of Fourier coefficient vectors."""
         return self.basis_coefficients(nmax) @ self.P.T
 
-    def log_slots(self) -> list:
-        """(component index, offset, log power, series) for every slot."""
-        out = []
-        for i, (comp, off) in enumerate(zip(self.basis_components, self.mu_offsets)):
-            for j, series in comp.terms.items():
-                out.append((i, off, j, series))
-        return out
+    def coefficient_exponent(self, alpha: float) -> float:
+        """Exponent e of the coefficient bound a_n = O(n^e) for growth exponent ``alpha``.
+
+        k/2 + alpha for a cusp form and k + 2 alpha otherwise.
+        """
+        return self.k / 2.0 + alpha if self.cusp_form else self.k + 2.0 * alpha
 
     # -- serialization --------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from vvaf.moebius import gen_s, gen_t
 
 __all__ = [
     "GrowthReport",
+    "coefficient_norms",
     "coefficient_growth_report",
     "supnorm_scan",
     "converse_growth_check",
@@ -55,18 +56,17 @@ class GrowthReport:
         }
 
 
-def _coefficient_norms(X: VVAF, nmax: int) -> np.ndarray:
-    """Max-component norm of the n-th coefficient vector, log slots included."""
-    norms = np.zeros(nmax + 1)
-    vectors = np.abs(X.fourier_vectors(nmax))
-    norms = np.max(vectors, axis=1)
-    if X.is_logarithmic:
-        for _, off, j, series in X.log_slots():
-            if j == 0:
-                continue
-            extra = np.abs(series.coefficients_on_offset(off, nmax))
-            norms = np.maximum(norms, extra)
-    return norms
+def coefficient_norms(X: VVAF, nmax: int) -> np.ndarray:
+    """Largest entry modulus of the n-th coefficient data, log slots included.
+
+    The log-free slot counts through the Fourier vector P c[0, n]; each
+    higher log power counts per basis component.
+    """
+    table = X.coefficient_table(nmax)
+    table[0] = table[0] @ X.P.T
+    # one row per (log power, entry): a max across contiguous rows is fast,
+    # one across the short last axis is not
+    return np.max(np.abs(table).transpose(0, 2, 1).reshape(-1, nmax + 1), axis=0)
 
 
 def _fit_slope(ns: np.ndarray, values: np.ndarray) -> tuple:
@@ -80,24 +80,22 @@ def _fit_slope(ns: np.ndarray, values: np.ndarray) -> tuple:
 def coefficient_growth_report(X: VVAF, nmax: int, alpha: float, log_extra: bool = False) -> GrowthReport:
     """Slope-fit the coefficient norms over the top half of the range.
 
-    The target exponent is k/2 + alpha for cusp forms and k + 2 alpha
-    otherwise.  For logarithmic forms with ``log_extra`` the dimension is
-    added to alpha, mirroring the weaker exponent the general argument
-    yields; both variants are one call apart and the report records which
-    alpha entered.  PASS needs the fitted slope within 0.15 of the target
-    and no ratio drift beyond a factor 10 across the fit range.
+    The target exponent is ``X.coefficient_exponent(alpha_used)``.  For
+    logarithmic forms with ``log_extra`` the dimension is added to alpha,
+    mirroring the weaker exponent the general argument yields; both
+    variants are one call apart and the report records which alpha
+    entered.  PASS needs the fitted slope within 0.15 of the target and no
+    ratio drift beyond a factor 10 across the fit range.  Fewer than two
+    nonzero norms in the range leave nothing to fit: DEGENERATE.
     """
-    norms = _coefficient_norms(X, nmax)
+    norms = coefficient_norms(X, nmax)
     alpha_used = alpha + (X.m if log_extra else 0.0)
-    if X.cusp_form:
-        target, kind = X.k / 2.0 + alpha_used, "cusp"
-    else:
-        target, kind = X.k + 2.0 * alpha_used, "holomorphic"
+    target = X.coefficient_exponent(alpha_used)
     lo = max(1, nmax // 2)
     ns = np.arange(lo, nmax + 1)
     vals = norms[lo:]
     keep = vals > 0
-    if not np.any(keep):
+    if np.count_nonzero(keep) < 2:
         return GrowthReport(
             beta_emp=float("nan"),
             residual=float("nan"),
@@ -120,7 +118,7 @@ def coefficient_growth_report(X: VVAF, nmax: int, alpha: float, log_extra: bool 
         residual=residual,
         max_ratio=float(np.max(ratios)),
         target=target,
-        target_kind=kind,
+        target_kind="cusp" if X.cusp_form else "holomorphic",
         n_range=(int(ns[0]), int(ns[-1])),
         verdict=verdict,
         alpha_used=alpha_used,
@@ -254,23 +252,19 @@ def vanishing_check(k: int, alpha: float, candidate: VVAF | None = None, grid=No
 def mean_square(X: VVAF, nmax: int, alpha: float = 0.0) -> dict:
     """Partial sums of squared coefficient norms and their log-log slope.
 
-    The target exponent is k + 2 alpha for cusp forms and twice that for
-    merely holomorphic ones; the verdict allows a 0.3 slope margin.
+    The target exponent is twice ``X.coefficient_exponent(alpha)``; the
+    verdict allows a 0.3 slope margin.  Fewer than two nonzero partial
+    sums in the fit range leave nothing to fit: DEGENERATE.
     """
-    norms = _coefficient_norms(X, nmax)
+    norms = coefficient_norms(X, nmax)
     partial = np.cumsum(norms**2)
-    target = X.k + 2.0 * alpha if X.cusp_form else 2.0 * X.k + 4.0 * alpha
-    if partial[-1] == 0.0:
-        return {
-            "partial_sums": partial,
-            "slope": float("nan"),
-            "target": target,
-            "verdict": "DEGENERATE",
-        }
+    target = 2.0 * X.coefficient_exponent(alpha)
     lo = max(2, nmax // 2)
     ms = np.arange(lo, nmax + 1)
     vals = partial[lo:]
     keep = vals > 0
+    if np.count_nonzero(keep) < 2:
+        return {"partial_sums": partial, "slope": float("nan"), "target": target, "verdict": "DEGENERATE"}
     slope, _ = _fit_slope(ms[keep], vals[keep])
     verdict = "PASS" if slope <= target + MEANSQ_MARGIN else "FAIL"
     return {"partial_sums": partial, "slope": slope, "target": target, "verdict": verdict}

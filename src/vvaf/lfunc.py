@@ -70,8 +70,9 @@ def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
     their per-component totals, the error estimate and whether it is
     rigorous.
 
-    For Re s > k/2 + alpha + 1 the error is the tail bound of the growth
-    theorem (see ``dirichlet_L``).  Elsewhere it is a heuristic: the
+    With sigma = ``X.coefficient_exponent(alpha)``, for Re s > sigma + 1
+    the error is the tail bound of the growth theorem (see
+    ``dirichlet_L``).  Elsewhere it is a heuristic: the
     largest movement of the partial sums over the second half,
     max over N/2 <= M <= N of |P (S_N - S_M)|, with S_M the per-component
     partial sums through index M.  An oscillating tail can exceed the
@@ -82,31 +83,34 @@ def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
+    table = X.coefficient_table(n_terms)
     basis_values = np.zeros(X.m, dtype=complex)
     slot_sums = []
     max_ratio = 0.0
-    sigma = X.k / 2.0 + alpha
+    sigma = X.coefficient_exponent(alpha)
     rigorous = s.real > sigma + 1.0
     half = n_terms // 2
     # basis_tails[i, t] = S_N - S_(half + t) of component i, for half <= half + t < N
     basis_tails = np.zeros((X.m, n_terms - half), dtype=complex)
-    for i, off, j, series in X.log_slots():
-        coeffs = series.coefficients_on_offset(off, n_terms)
+    for i, (comp, off) in enumerate(zip(X.basis_components, X.mu_offsets)):
         ns = np.arange(n_terms + 1) + float(off)
         good = ns > 0
-        terms = coeffs[good] * ns[good] ** (-(s + j))
-        full = np.sum(terms)
-        slot_sums.append((i, j, full))
-        basis_values[i] += full
-        if rigorous:
-            nz = np.abs(coeffs[good]) > 0
-            if np.any(nz):
-                max_ratio = max(max_ratio, float(np.max(np.abs(coeffs[good][nz]) / ns[good][nz] ** sigma)))
-        else:
-            # only index 0 can be dropped, so the last N - half terms are
-            # those of indices half+1 .. N; sum them from the end
-            last = terms[len(terms) - (n_terms - half) :]
-            basis_tails[i] += np.cumsum(last[::-1])[::-1]
+        ns = ns[good]
+        for j in comp.terms:
+            coeffs = table[j, :, i][good]
+            terms = coeffs * ns ** (-(s + j))
+            full = np.sum(terms)
+            slot_sums.append((i, j, full))
+            basis_values[i] += full
+            if rigorous:
+                nz = np.abs(coeffs) > 0
+                if np.any(nz):
+                    max_ratio = max(max_ratio, float(np.max(np.abs(coeffs[nz]) / ns[nz] ** sigma)))
+            else:
+                # only index 0 can be dropped, so the last N - half terms are
+                # those of indices half+1 .. N; sum them from the end
+                last = terms[len(terms) - (n_terms - half) :]
+                basis_tails[i] += np.cumsum(last[::-1])[::-1]
     if rigorous:
         # |c_n| <= C n^sigma bounds the tail by C integral_N^inf x^(sigma - Re s) dx
         scale = float(np.max(np.abs(X.P))) * max(1.0, X.m)
@@ -122,9 +126,10 @@ def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) ->
 
     Each diagonal-basis component i contributes its coefficients divided
     by (n + mu_i)^s; logarithmic slots shift the exponent by their log
-    power.  The tail bound is rigorous for Re(s) > k/2 + alpha + 1 given
-    the cusp-form coefficient growth; outside that half-plane the value is
-    still returned but flagged heuristic.  The heuristic error is the
+    power.  The tail bound is rigorous for Re(s) > e + 1, with
+    e = ``X.coefficient_exponent(alpha)`` the exponent of the cusp-form
+    coefficient growth; outside that half-plane the value is still
+    returned but flagged heuristic.  The heuristic error is the
     largest change |P (S_N - S_M)| of the partial sums over
     N/2 <= M <= N; on the built-in forms it was measured to cover the gap
     to ``completed_L`` from the critical line to half a unit past the

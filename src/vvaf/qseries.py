@@ -489,43 +489,30 @@ def theta_series(variant: int, n_terms: int) -> FracQSeries:
 # -- coefficient extraction -----------------------------------------------------
 
 
-def coefficient_integral(f, n: int, offset, y: float = 1.0, T: int = 256, h: int = 1, periods: int | None = None) -> complex:
-    """Recover the coefficient at exponent n + offset by a trapezoid sum.
+def coefficient_integral(f: FracQSeries, n: int, offset, y: float = 1.0, T: int = 256) -> complex:
+    """Recover the coefficient of ``f`` at exponent n + offset by a trapezoid sum.
 
     Averages f(x + iy) exp(-2 pi i (n + offset)(x + iy)/h) over equally
     spaced x.  The sum runs over as many base periods as the integrand
     needs to be exactly periodic: one for a single-offset expansion, more
-    when the exponent grid mixes offset classes (``periods`` overrides the
-    automatic choice for black-box callables).  The trapezoid rule is exact
-    on trigonometric polynomials, so for a truncated expansion the result
-    is exact once the per-period sample count T clears the frequency span.
+    when the exponent grid mixes offset classes.  The trapezoid rule is
+    exact on trigonometric polynomials, so for a truncated expansion the
+    result is exact once the per-period sample count T clears the
+    frequency span.
 
     Exactness holds up to rounding amplified by exp(2 pi y (n + offset)/h):
     the target term is exponentially small inside f at height y, so keep
     y at most of order h/(n + offset) when extracting the n-th coefficient.
     """
-    offset = Fraction(offset)
-    if isinstance(f, FracQSeries):
-        h = f.h
-        p = 1
-        target = offset + n
-        for e, _ in f.occupied():
-            delta = e - target
-            p = _lcm(p, delta.denominator)
-        span = 0
-        for e, _ in f.occupied():
-            span = max(span, abs(int((e - target) * p)))
-        T = max(T, 2 * span // max(p, 1) + 8)
-        values_at = f.evaluate_many
-    else:
-        p = 1 if periods is None else periods
-        values_at = lambda taus: np.array([f(complex(tau)) for tau in taus])  # noqa: E731
+    target = Fraction(offset) + n
+    deltas = [e - target for e, _ in f.occupied()]
+    p = math.lcm(*(delta.denominator for delta in deltas))
+    span = max((abs(int(delta * p)) for delta in deltas), default=0)
+    T = max(T, 2 * span // p + 8)
     total = T * p
-    xs = np.arange(total) * (h / T)
-    taus = xs + 1j * y
-    freq = -2j * math.pi * float(offset + n) / h
-    values = values_at(taus)
-    return complex(np.sum(values * np.exp(freq * taus)) / total)
+    taus = np.arange(total) * (f.h / T) + 1j * y
+    freq = -2j * math.pi * float(target) / f.h
+    return complex(np.sum(f.evaluate_many(taus) * np.exp(freq * taus)) / total)
 
 
 # -- logarithmic expansions -------------------------------------------------------

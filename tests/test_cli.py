@@ -159,6 +159,30 @@ class TestSubcommands:
         code = run(["--out-dir", str(tmp_path), "vvaf", "meansq", "--builtin", "delta", "-N", "400"])
         assert code == 0
 
+    @pytest.mark.parametrize("command, n", [("meansq", "2"), ("meansq", "1"), ("growth", "1")])
+    def test_vvaf_fit_through_fewer_than_two_points_degenerate(self, tmp_path, command, n):
+        code = run(["--out-dir", str(tmp_path), "vvaf", command, "--builtin", "delta", "-N", n])
+        assert code == 0
+        payload = json.loads(read(tmp_path / f"vvaf_{command}_delta.json"))
+        verdict = payload["report"]["verdict"] if command == "growth" else payload["verdict"]
+        assert verdict == "DEGENERATE"
+
+    @pytest.mark.parametrize("command", ["growth", "meansq"])
+    def test_vvaf_negative_n_refused(self, tmp_path, capsys, command):
+        code = run(["--out-dir", str(tmp_path), "vvaf", command, "--builtin", "delta", "-N", "-4"])
+        assert code == 2
+        assert "nmax must be at least 0, got -4" in capsys.readouterr().err
+
+    def test_vvaf_growth_csv_writes_coefficient_norms(self, tmp_path):
+        from vvaf.forms import sym2_log_form
+        from vvaf.growth import coefficient_norms
+
+        code = run(["--out-dir", str(tmp_path), "--format", "csv", "vvaf", "growth", "--builtin", "sym2-log", "-N", "30"])
+        assert code == 0
+        rows = read(tmp_path / "vvaf_growth_sym2-log.csv").strip().splitlines()[1:]
+        norms = coefficient_norms(sym2_log_form(RunConfig().n_terms), 30)
+        assert [float(row.split(",")[1]) for row in rows] == [float(x) for x in norms[1:] if x > 0]
+
     def test_lfunc_eval_csv_schema(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "--n-terms", "400", "lfunc", "eval", "--builtin", "delta", "--s", "8"])
         assert code == 0

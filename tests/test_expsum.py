@@ -61,10 +61,9 @@ class TestExpSum:
         value = exp_sum(S, 0.0, 40)
         # every (component, log power) slot contributes its plain partial sum
         expected = np.zeros(3, dtype=complex)
-        for i, off, j, series in S.log_slots():
-            basis = np.zeros(3, dtype=complex)
-            basis[i] = 1.0
-            expected += (S.P @ basis) * np.sum(series.coefficients_on_offset(off, 39))
+        for i, (comp, off) in enumerate(zip(S.basis_components, S.mu_offsets)):
+            for series in comp.terms.values():
+                expected += S.P[:, i] * np.sum(series.coefficients_on_offset(off, 39))
         assert np.allclose(value, expected)
 
 
@@ -100,6 +99,17 @@ class TestBoundScan:
     def test_refuses_empty_lists(self, thetas, cutoffs, name):
         with pytest.raises(ValueError, match=f"{name} must not be empty"):
             bound_scan(delta_form(50), thetas, cutoffs, alpha=0.0)
+
+    def test_sums_match_exp_sum(self):
+        # one coefficient read at the largest cutoff, sliced per cutoff, has
+        # the bits of a separate exp_sum per cutoff
+        Y = eta4_theta_eta_form(5100)
+        thetas = THETAS + [0.123, 0.871]
+        cutoffs = [2, 3, 250, 625, 1250, 2500, 3750, 5000]
+        scan = bound_scan(Y, thetas, cutoffs, alpha=0.0)
+        for a, theta in enumerate(thetas):
+            for b, cutoff in enumerate(cutoffs):
+                assert np.array_equal(scan.sums[a, b], exp_sum(Y, theta, cutoff))
 
     def test_serializable(self):
         import json

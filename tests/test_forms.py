@@ -304,6 +304,59 @@ class TestCoefficients:
         assert abs(comp0.coefficient(Fraction(1, 12)) - 2.0) < 1e-13
 
 
+def _per_slot_table(X, nmax):
+    """c[j, n, i] by one coefficients_on_offset read per existing slot."""
+    J = max(j for comp in X.basis_components for j in comp.terms)
+    table = np.zeros((J + 1, nmax + 1, X.m), dtype=complex)
+    for i, (comp, off) in enumerate(zip(X.basis_components, X.mu_offsets)):
+        for j, series in comp.terms.items():
+            table[j, :, i] = series.coefficients_on_offset(off, nmax)
+    return table
+
+
+class TestCoefficientTable:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FORMS))
+    def test_rows_match_per_slot_reads(self, name):
+        X = builtin_form(name, 60)
+        table = X.coefficient_table(40)
+        assert table.shape == (3 if name == "sym2-log" else 1, 41, X.m)
+        assert np.array_equal(table, _per_slot_table(X, 40))
+
+    def test_sym2_log_powers_and_absent_slots(self):
+        S = sym2_log_form(60)
+        table = S.coefficient_table(40)
+        for i, comp in enumerate(S.basis_components):
+            for j in range(3):
+                assert np.any(table[j, :, i]) == (j in comp.terms)
+        assert sorted(j for comp in S.basis_components for j in comp.terms) == [0, 0, 0, 1, 1, 2]
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FORMS))
+    def test_basis_coefficients_is_log_free_slot(self, name):
+        X = builtin_form(name, 60)
+        v = X.basis_coefficients(40)
+        assert v.flags.c_contiguous
+        assert np.array_equal(v, X.coefficient_table(40)[0])
+        assert np.array_equal(X.fourier_vectors(40), v @ X.P.T)
+
+    def test_refuses_negative_nmax(self):
+        with pytest.raises(ValueError, match="nmax must be at least 0, got -4"):
+            delta_form(30).coefficient_table(-4)
+
+
+class TestCoefficientExponent:
+    def test_cusp_form(self):
+        D = delta_form(30)
+        assert D.cusp_form
+        assert D.coefficient_exponent(0.0) == 6.0
+        assert D.coefficient_exponent(0.25) == 6.25
+
+    def test_non_cusp_form(self):
+        X = theta_eta_form(30)
+        assert not X.cusp_form
+        assert X.coefficient_exponent(0.0) == 0.0
+        assert X.coefficient_exponent(0.25) == 0.5
+
+
 class TestSym2Fixture:
     def test_is_logarithmic(self):
         S = sym2_log_form(30)

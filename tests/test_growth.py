@@ -1,16 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from vvaf.forms import VVAF, builtin_form, delta_form, eta4_theta_eta_form, sym2_log_form
 from vvaf.growth import (
     coefficient_growth_report,
+    coefficient_norms,
     converse_growth_check,
     mean_square,
     supnorm_scan,
     vanishing_check,
 )
 from vvaf.moebius import random_element
-from vvaf.qseries import FracQSeries
+from vvaf.qseries import FracQSeries, LogQExpansion
 from vvaf.representation import Representation, builtin
 
 
@@ -71,6 +74,38 @@ class TestCoefficientGrowth:
         shifted = coefficient_growth_report(S, 60, alpha=0.0, log_extra=True)
         assert shifted.alpha_used == base.alpha_used + S.m
         assert shifted.target > base.target
+
+    @pytest.mark.parametrize("nmax", [0, 1])
+    def test_fewer_than_two_points_degenerate(self, nmax):
+        # N = 1 leaves the single point n = 1, which no line fit can use
+        report = coefficient_growth_report(delta_form(30), nmax, alpha=0.0)
+        assert report.verdict == "DEGENERATE"
+        assert report.target_kind == "degenerate"
+        assert report.target == 6.0
+
+    def test_refuses_negative_nmax(self):
+        with pytest.raises(ValueError, match="nmax must be at least 0, got -4"):
+            coefficient_growth_report(delta_form(30), -4, alpha=0.0)
+
+
+class TestCoefficientNorms:
+    def test_plain_form_is_fourier_vector_max(self):
+        X = eta4_theta_eta_form(100)
+        assert np.array_equal(coefficient_norms(X, 80), np.max(np.abs(X.fourier_vectors(80)), axis=1))
+
+    def test_log_slots_count(self):
+        # the fixture with its log-power series scaled up, so they dominate
+        S = sym2_log_form(80)
+        comps = [
+            LogQExpansion({j: series * (10.0 if j else 1.0) for j, series in comp.terms.items()})
+            for comp in S.basis_components
+        ]
+        X = VVAF(S.k, S.rep, comps, diagonalizer=S.P, mu_offsets=S.mu_offsets)
+        plain = np.max(np.abs(X.fourier_vectors(60)), axis=1)
+        logs = np.max(np.abs(X.coefficient_table(60)[1:]), axis=(0, 2))
+        norms = coefficient_norms(X, 60)
+        assert np.array_equal(norms, np.maximum(plain, logs))
+        assert np.any(norms > plain)
 
 
 class TestSupnorm:
@@ -185,3 +220,16 @@ class TestMeanSquare:
         result = mean_square(D, 2000, alpha=0.0)
         assert result["verdict"] == "PASS"
         assert abs(result["slope"] - 12.0) <= 0.3
+
+    @pytest.mark.parametrize("nmax", [0, 1, 2])
+    def test_fewer_than_two_points_degenerate(self, nmax):
+        # the fit starts at m = 2, so N = 2 leaves one point and N < 2 none
+        result = mean_square(delta_form(30), nmax, alpha=0.0)
+        assert result["verdict"] == "DEGENERATE"
+        assert math.isnan(result["slope"])
+        assert result["target"] == 12.0
+        assert len(result["partial_sums"]) == nmax + 1
+
+    def test_refuses_negative_nmax(self):
+        with pytest.raises(ValueError, match="nmax must be at least 0, got -4"):
+            mean_square(delta_form(30), -4)
