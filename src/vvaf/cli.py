@@ -1,7 +1,7 @@
 """Batch command line front-end.
 
-Subcommands load built-in (or serialized) representations and forms, run
-the verification suites and write JSON/CSV artifacts.  Outputs are
+Subcommands load a built-in representation or form by name, run the
+verification suites and write JSON/CSV artifacts.  Outputs are
 deterministic given the configuration: sampler seeds are part of the
 config and echoed into every report, floats are serialized with fixed
 formatting, and JSON keys are sorted.
@@ -154,6 +154,8 @@ def _repr_growth(args, config: RunConfig) -> tuple:
 
 
 def _vvaf_coeffs(args, config: RunConfig) -> tuple:
+    if args.N < 0:
+        raise ValueError(f"nmax must be at least 0, got {args.N}")
     X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
     artifacts = {}
     skipped_log_powers = 0

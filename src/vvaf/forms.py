@@ -61,7 +61,7 @@ class VVAF:
         self.k = int(k)
         self.rep = rep
         self.basis_components = [
-            comp if isinstance(comp, LogQExpansion) else LogQExpansion.from_series(comp)
+            comp if isinstance(comp, LogQExpansion) else LogQExpansion({0: comp})
             for comp in basis_components
         ]
         self.P = np.eye(rep.m, dtype=complex) if diagonalizer is None else np.array(diagonalizer, dtype=complex)
@@ -159,7 +159,7 @@ class VVAF:
 
     # -- serialization --------------------------------------------------------------
 
-    def to_json(self, truncation_order: int | None = None) -> str:
+    def to_json(self) -> str:
         payload = {
             "weight": self.k,
             "representation": json.loads(self.rep.to_json()),
@@ -171,7 +171,6 @@ class VVAF:
                 "cusp_form": self.cusp_form,
                 "logarithmic": self.is_logarithmic,
             },
-            "truncation_order": truncation_order,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -331,8 +330,7 @@ def sym2_log_form(n_terms: int = 40) -> VVAF:
         if len(coeffs) > 2:
             coeffs[2] = -0.25 * value
         seeds.append(FracQSeries(1, 1, start, coeffs, order=Fraction(n_terms)))
-    pure = [LogQExpansion.from_series(s) for s in seeds]
-    block_components = log_recouple("backward", pure, h=1)
+    block_components = log_recouple("backward", [LogQExpansion({0: s}) for s in seeds])
     return VVAF(
         0,
         rep,

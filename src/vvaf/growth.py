@@ -28,6 +28,7 @@ __all__ = [
 SLOPE_MARGIN = 0.15
 RATIO_DRIFT_FACTOR = 10.0
 MEANSQ_MARGIN = 0.3
+VANISHING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,17 @@ def coefficient_growth_report(X: VVAF, nmax: int, alpha: float, log_extra: bool 
     )
 
 
-def supnorm_scan(X: VVAF, exponent: float, nx: int = 40, ny: int = 40, y_min: float = 0.05, y_max: float = 10.0) -> dict:
+def supnorm_scan(X: VVAF, exponent: float, nx: int = 40, ny: int = 40) -> dict:
     """Scan y^e times the vector norm over a strip grid.
 
-    The strip covers one translation period and heights inside the
-    evaluation-safe region.  PASS means the weighted norm near the real
-    line stays within a factor 10 of its size at unit height and above,
-    which is the finite proxy for boundedness.
+    The strip covers one translation period and geometrically spaced
+    heights from 0.05 to 10, inside the evaluation-safe region.  PASS
+    means the weighted norm near the real line stays within a factor 10
+    of its size at unit height and above, which is the finite proxy for
+    boundedness.
     """
     xs = np.linspace(0.0, X.h, nx, endpoint=False)
-    ys = np.geomspace(y_min, y_max, ny)
+    ys = np.geomspace(0.05, 10.0, ny)
     norms = np.linalg.norm(X.evaluate_many((xs + 1j * ys[:, None]).ravel()), axis=-1)
     weighted = ys[:, None] ** exponent * norms.reshape(ny, nx)
     below = ys < 1.0
@@ -160,15 +162,13 @@ def converse_growth_check(
     gammas,
     strip_samples=None,
     blocks=None,
-    logarithmic: bool = False,
     fe_check_taus=None,
 ) -> dict:
     """Check the converse direction: decay of X forces growth of the images.
 
     First verifies the functional equation on samples, then the decay
-    hypothesis norm(X(x+iy)) <= C y^-zeta on the strip (with the
-    |tau|^j max variant when ``logarithmic``), and finally fits the
-    constant of norm(rho(gamma)) <= C norm(gamma)^(2 zeta - k) on the ten
+    hypothesis norm(X(x+iy)) <= C y^-zeta on the strip, and finally fits
+    the constant of norm(rho(gamma)) <= C norm(gamma)^(2 zeta - k) on the ten
     percent of samples with smallest norm, counting violations beyond 3C.
     ``blocks`` restricts the norm to index ranges for block-diagonal
     images; the report carries one entry per block.
@@ -188,8 +188,6 @@ def converse_growth_check(
         taus = np.asarray(strip_samples, dtype=complex)
         values = np.linalg.norm(X.evaluate_many(taus), axis=-1)
         envelope = taus.imag ** (-zeta)
-        if logarithmic:
-            envelope *= np.max(np.abs(taus)[:, None] ** np.arange(rep.m), axis=-1)
         hypothesis_constant = float(np.max(values / envelope, initial=0.0))
 
     if blocks is None:
@@ -205,15 +203,8 @@ def converse_growth_check(
             entries.append((gamma.norm(), float(np.linalg.norm(sub))))
         entries.sort(key=lambda pair: pair[0])
         n_fit = max(1, len(entries) // 10)
-        if logarithmic:
-            m = rep.m
-            bound = lambda gn: max(gn ** (j + exponent) for j in range(m))  # noqa: E731
-        else:
-            bound = lambda gn: gn**exponent  # noqa: E731
-        C = max(rn / bound(gn) for gn, rn in entries[:n_fit])
-        violations = [
-            (gn, rn) for gn, rn in entries if rn > 3.0 * C * bound(gn) + 1e-12
-        ]
+        C = max(rn / gn**exponent for gn, rn in entries[:n_fit])
+        violations = [(gn, rn) for gn, rn in entries if rn > 3.0 * C * gn**exponent + 1e-12]
         per_block.append(
             {
                 "block": [int(i) for i in idx],
@@ -231,21 +222,21 @@ def converse_growth_check(
     }
 
 
-def vanishing_check(k: int, alpha: float, candidate: VVAF | None = None, grid=None, tol: float = 1e-8) -> dict:
+def vanishing_check(k: int, alpha: float, candidate: VVAF | None = None) -> dict:
     """Consistency gate for the negative-weight vanishing criterion.
 
     Active only when k + 2 alpha < 0; then any supplied holomorphic
-    candidate must evaluate below tolerance on the grid.
+    candidate must have norm below 1e-8 on an 18-point grid in the strip
+    0 < x < 1, at heights 0.4, 1 and 2.5.
     """
     active = (k + 2.0 * alpha) < 0.0
     result = {"active": active, "k_plus_2alpha": k + 2.0 * alpha, "consistent": True, "max_norm": 0.0}
     if not active or candidate is None:
         return result
-    if grid is None:
-        grid = [complex(x, y) for x in np.linspace(0.05, 0.95, 6) for y in (0.4, 1.0, 2.5)]
+    grid = [complex(x, y) for x in np.linspace(0.05, 0.95, 6) for y in (0.4, 1.0, 2.5)]
     max_norm = float(np.max(np.linalg.norm(candidate.evaluate_many(grid), axis=-1)))
     result["max_norm"] = max_norm
-    result["consistent"] = max_norm < tol
+    result["consistent"] = max_norm < VANISHING_TOL
     return result
 
 

@@ -138,8 +138,8 @@ def gen_t() -> GroupElement:
     return GroupElement(1, 1, 0, 1)
 
 
-def t_power(n: int, h: int = 1) -> GroupElement:
-    return GroupElement(1, n * h, 0, 1)
+def t_power(n: int) -> GroupElement:
+    return GroupElement(1, n, 0, 1)
 
 
 # -- Moebius action --------------------------------------------------------
@@ -232,12 +232,11 @@ def _reduce_letters(letters: Iterable) -> tuple:
         if exp == 0:
             continue
         if out and out[-1][0] == gen:
+            # ``out`` is reduced, so replacing or popping its top keeps it reduced
             merged = out[-1][1] + exp if gen == "t" else (out[-1][1] + exp) % 2
             out.pop()
             if merged:
                 out.append((gen, merged))
-            # a cancellation may expose a new adjacency; re-reduce below
-            out = list(_reduce_letters(out))
         else:
             out.append((gen, exp))
     return tuple(out)

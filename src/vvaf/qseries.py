@@ -31,10 +31,7 @@ __all__ = [
 _Q_ABS_LIMIT = 0.995
 _BIG_CONV = 8192
 _CHUNK_BYTES = 1 << 19  # one evaluate_many chunk; its three passes then run in cache
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
+_PURITY_TOL = 1e-9  # largest log-term coefficient a forward recoupling may leave
 
 
 def _two_pi_i_over(taus: np.ndarray, n: int) -> np.ndarray:
@@ -242,10 +239,6 @@ class FracQSeries:
     def zero(h: int = 1, order=None) -> "FracQSeries":
         return FracQSeries(h, 1, 0, np.zeros(0), order=order)
 
-    @staticmethod
-    def one(h: int = 1, order=None) -> "FracQSeries":
-        return FracQSeries(h, 1, 0, np.ones(1), order=order)
-
 
 def _normalize(h, D, start, coeffs, order):
     # trim the zero fringe
@@ -280,7 +273,7 @@ def _same_width(f: FracQSeries, g: FracQSeries) -> None:
 
 
 def _aligned(f: FracQSeries, g: FracQSeries):
-    D = _lcm(f.D, g.D)
+    D = math.lcm(f.D, g.D)
     fa, fs = _upsample(f, D)
     ga, gs = _upsample(g, D)
     return D, fa, fs, ga, gs
@@ -542,10 +535,6 @@ class LogQExpansion:
         self.terms = dict(sorted(collected.items()))
         self.h = h if h is not None else 1
 
-    @staticmethod
-    def from_series(series: FracQSeries) -> "LogQExpansion":
-        return LogQExpansion({0: series})
-
     def max_log_power(self) -> int:
         powers = [j for j, s in self.terms.items() if not s.is_zero()]
         return max(powers) if powers else 0
@@ -658,19 +647,23 @@ def _upoly_add(a: dict, b: dict) -> dict:
     return out
 
 
-def log_recouple(direction: str, components: list, h: int = 1, purity_tol: float = 1e-9) -> list:
+def log_recouple(direction: str, components: list) -> list:
     """Recouple the components of a single Jordan block.
 
-    Inputs transform under tau -> tau + h by the lower bidiagonal block
-    action X_i -> lambda (X_i + X_{i-1}).  The forward direction produces
-    the pure q-expansions obtained by alternating binomial combinations;
-    the backward direction reassembles the original components from pure
-    expansions.  Forward outputs that keep a log term above ``purity_tol``
-    raise, since that means the inputs were not closed under the block
-    action.
+    Inputs share one width h and transform under tau -> tau + h by the
+    lower bidiagonal block action X_i -> lambda (X_i + X_{i-1}).  The
+    forward direction produces the pure q-expansions obtained by
+    alternating binomial combinations; the backward direction reassembles
+    the original components from pure expansions.  Forward outputs that
+    keep a log-term coefficient above 1e-9 raise, since that means the
+    inputs were not closed under the block action.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
+    widths = {x.h for x in components}
+    if len(widths) > 1:
+        raise ValueError(f"components of one block must share one width, got {sorted(widths)}")
+    h = widths.pop() if widths else 1
     polys = [_expansion_to_upoly(x) for x in components]
     out = []
     for i in range(len(components)):
@@ -683,7 +676,7 @@ def log_recouple(direction: str, components: list, h: int = 1, purity_tol: float
             acc = _upoly_add(acc, _upoly_scalar_mul(polys[i - j], scalar))
         result = _upoly_to_expansion(acc, h)
         if direction == "forward":
-            if not result.is_pure(tol=purity_tol):
+            if not result.is_pure(tol=_PURITY_TOL):
                 raise ValueError(
                     f"component {i} is not closed under the block action; "
                     "a log term survives the recoupling"

@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 _COND_GUARD = 1e-10
+_RELATION_TOL = 1e-10  # s^2 = 1 and (st)^3 = 1, entrywise
+_MU_MAX_ORDER = 1000  # largest root-of-unity order mu recognizes
+_UNIT_CIRCLE_TOL = 1e-8  # distance of a parabolic eigenvalue from |z| = 1
+_UNITARY_SAMPLES = 50
+_UNITARY_TOL = 1e-10
 
 
 class Representation:
@@ -126,7 +131,7 @@ class ValidationReport:
     s_relation_deviation: float
     st_relation_deviation: float
     passed: bool
-    tolerance: float = 1e-10
+    tolerance: float
 
     def as_dict(self) -> dict:
         return {
@@ -137,29 +142,30 @@ class ValidationReport:
         }
 
 
-def validate(rho: Representation, tol: float = 1e-10) -> ValidationReport:
-    """Check the defining relations s^2 = 1 and (st)^3 = 1 on the images."""
+def validate(rho: Representation) -> ValidationReport:
+    """Check the defining relations s^2 = 1 and (st)^3 = 1 on the images, entrywise to 1e-10."""
     eye = np.eye(rho.m)
     dev_s = float(np.max(np.abs(rho.mat_s @ rho.mat_s - eye)))
     st = rho.mat_s @ rho.mat_t
     dev_st = float(np.max(np.abs(st @ st @ st - eye)))
-    return ValidationReport(dev_s, dev_st, passed=(dev_s < tol and dev_st < tol), tolerance=tol)
+    passed = dev_s < _RELATION_TOL and dev_st < _RELATION_TOL
+    return ValidationReport(dev_s, dev_st, passed=passed, tolerance=_RELATION_TOL)
 
 
 # -- exponents of unitary eigenvalues ---------------------------------------
 
 
-def mu(lam: complex, max_order: int = 1000):
+def mu(lam: complex):
     """The exponent in [0, 1) with lam = exp(2 pi i mu).
 
     Returns an exact Fraction when lam is (within 1e-10) a root of unity of
-    order at most ``max_order``, otherwise a float.
+    order at most 1000, otherwise a float.
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-8:
         raise ValueError(f"eigenvalue {lam} is not on the unit circle")
     value = math.atan2(lam.imag, lam.real) / (2 * math.pi) % 1.0
-    for k in range(1, max_order + 1):
+    for k in range(1, _MU_MAX_ORDER + 1):
         p = round(value * k)
         if abs(value - p / k) < 1e-10 / (2 * math.pi):
             return Fraction(p % k, k)
@@ -313,13 +319,13 @@ def jordan_form(M, tol: float = 1e-8) -> JordanData:
 # -- structural predicates ----------------------------------------------------
 
 
-def is_admissible(rho: Representation, tol: float = 1e-8) -> bool:
-    """True when the translation image is diagonalizable.
+def is_admissible(rho: Representation) -> bool:
+    """True when the translation image is diagonalizable (Jordan tolerance 1e-8).
 
     For the full group every parabolic element is conjugate to a power of
     t, so the single Jordan test on mat_t decides admissibility.
     """
-    data = jordan_form(rho.mat_t, tol=tol)
+    data = jordan_form(rho.mat_t)
     return all(size == 1 for _, size in data.blocks)
 
 
@@ -329,8 +335,8 @@ def _parabolic_generators(rho: Representation) -> list:
     return [generator for _, _, generator in moebius.cusp_classes(rho.group)]
 
 
-def is_polynomial_growth(rho: Representation, tol: float = 1e-8) -> bool:
-    """True iff every parabolic image has only unitary eigenvalues.
+def is_polynomial_growth(rho: Representation) -> bool:
+    """True iff every parabolic image has only unitary eigenvalues, to within 1e-8.
 
     For the full group this reduces to the eigenvalues of mat_t; for a
     subgroup the conjugated stabilizer generator of each cusp class is
@@ -338,7 +344,7 @@ def is_polynomial_growth(rho: Representation, tol: float = 1e-8) -> bool:
     """
     for generator in _parabolic_generators(rho):
         eigs = np.linalg.eigvals(rho.evaluate(generator))
-        if np.any(np.abs(np.abs(eigs) - 1.0) > tol):
+        if np.any(np.abs(np.abs(eigs) - 1.0) > _UNIT_CIRCLE_TOL):
             return False
     return True
 
@@ -438,7 +444,6 @@ class GrowthFit:
     max_ratio: float
     n_samples: int
     exp_rate: float = 0.0
-    sharp_bound_max_ratio: float = float("nan")
 
     def as_dict(self) -> dict:
         return {
@@ -447,7 +452,6 @@ class GrowthFit:
             "max_ratio": self.max_ratio,
             "n_samples": self.n_samples,
             "exp_rate": self.exp_rate,
-            "sharp_bound_max_ratio": self.sharp_bound_max_ratio,
         }
 
 
@@ -463,14 +467,14 @@ def _random_word_element(rng, config: SamplerConfig) -> GroupElement:
     return g
 
 
-def is_unitary_sampled(rho: Representation, n_samples: int = 50, seed: int = 0, tol: float = 1e-10) -> bool:
-    """Whether all sampled images are unitary matrices within tolerance."""
+def is_unitary_sampled(rho: Representation, seed: int = 0) -> bool:
+    """Whether the images of 50 sampled words are unitary, entrywise to 1e-10."""
     rng = np.random.default_rng(seed)
-    config = SamplerConfig(seed=seed, n_samples=n_samples, max_word_len=12, max_exponent=4)
+    config = SamplerConfig(seed=seed, max_word_len=12, max_exponent=4)
     eye = np.eye(rho.m)
-    for _ in range(n_samples):
+    for _ in range(_UNITARY_SAMPLES):
         image = rho.evaluate(_random_word_element(rng, config))
-        if np.max(np.abs(image @ image.conj().T - eye)) > tol:
+        if np.max(np.abs(image @ image.conj().T - eye)) > _UNITARY_TOL:
             return False
     return True
 
@@ -479,10 +483,9 @@ def growth_exponent(rho: Representation, config: SamplerConfig | None = None) ->
     """Empirical norm-growth fit over random group elements.
 
     Polynomial-growth representations get a fitted exponent of
-    log norm(rho(g)) against log norm(g); everything else is classified
-    exponential with the translation-power rate.  The sharp bottom-row
-    bound ratio norm(rho(g)) / ((c^2+d^2)^alpha * max(floor(|a/c|)^(m-1), 1))
-    is reported for samples with c != 0.
+    log norm(rho(g)) against log norm(g), and ``max_ratio`` is the largest
+    norm(rho(g)) / norm(g)^alpha over the samples; everything else is
+    classified exponential with the translation-power rate.
     """
     config = config or SamplerConfig()
     if not is_polynomial_growth(rho):
@@ -496,7 +499,6 @@ def growth_exponent(rho: Representation, config: SamplerConfig | None = None) ->
         )
     rng = np.random.default_rng(config.seed)
     log_gnorm, log_rnorm = [], []
-    samples = []
     for i in range(config.n_samples):
         g = (
             _random_word_element(rng, config)
@@ -505,10 +507,8 @@ def growth_exponent(rho: Representation, config: SamplerConfig | None = None) ->
         )
         if g == moebius.identity():
             continue
-        image = rho.evaluate(g)
-        samples.append((g, image))
         log_gnorm.append(math.log(g.norm()))
-        log_rnorm.append(math.log(float(np.linalg.norm(image))))
+        log_rnorm.append(math.log(float(np.linalg.norm(rho.evaluate(g)))))
     log_gnorm = np.array(log_gnorm)
     log_rnorm = np.array(log_rnorm)
     spread = float(np.ptp(log_gnorm))
@@ -518,20 +518,11 @@ def growth_exponent(rho: Representation, config: SamplerConfig | None = None) ->
         alpha = float(np.polyfit(log_gnorm, log_rnorm, 1)[0])
     alpha = max(alpha, 0.0)
     ratios = np.exp(log_rnorm - alpha * log_gnorm)
-    sharp = float("nan")
-    sharp_vals = []
-    for g, image in samples:
-        if g.c != 0:
-            bound = (g.c**2 + g.d**2) ** alpha * max(abs(g.a // g.c) ** (rho.m - 1), 1)
-            sharp_vals.append(float(np.linalg.norm(image)) / bound)
-    if sharp_vals:
-        sharp = float(max(sharp_vals))
     return GrowthFit(
         classification="polynomial",
         alpha_emp=alpha,
         max_ratio=float(np.max(ratios)),
-        n_samples=len(samples),
-        sharp_bound_max_ratio=sharp,
+        n_samples=len(log_gnorm),
     )
 
 
@@ -546,7 +537,7 @@ def _theta_eta() -> Representation:
     return Representation(mat_s, mat_t)
 
 
-def _nonpoly(a: complex) -> Representation:
+def _nonpoly(a: complex = 1j) -> Representation:
     a = complex(a)
     if abs(a.real) > 1e-12:
         warnings.warn(
@@ -585,20 +576,30 @@ def _trivial(group: SubgroupDescriptor | None = None) -> Representation:
     return Representation(np.eye(1), np.eye(1), group=group)
 
 
+# name -> (factory, the parameters it takes)
+_BUILTINS = {
+    "theta-eta": (_theta_eta, ()),
+    "nonpoly": (_nonpoly, ("a",)),
+    "sym2": (_sym2, ()),
+    "trivial": (_trivial, ("group",)),
+}
+
+
 def builtin(name: str, **params) -> Representation:
     """Built-in representations by name.
 
     Names: 'theta-eta' (the rank-3 unitary example), 'nonpoly' (the
     non-polynomial-growth family, parameter ``a``, default 1j), 'sym2'
     (symmetric square of the standard integral action, a single unipotent
-    block at t) and 'trivial' (optionally restricted via ``group``).
+    block at t) and 'trivial' (optionally restricted via ``group``).  A
+    parameter the named representation does not take is refused.
     """
-    if name == "theta-eta":
-        return _theta_eta()
-    if name == "nonpoly":
-        return _nonpoly(params.get("a", 1j))
-    if name == "sym2":
-        return _sym2()
-    if name == "trivial":
-        return _trivial(params.get("group"))
-    raise ValueError(f"unknown builtin representation {name!r}")
+    try:
+        factory, accepted = _BUILTINS[name]
+    except KeyError:
+        raise ValueError(f"unknown builtin representation {name!r}") from None
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        takes = f"takes only {', '.join(accepted)}" if accepted else "takes no parameters"
+        raise ValueError(f"builtin representation {name!r} {takes}; got {', '.join(unknown)}")
+    return factory(**params)

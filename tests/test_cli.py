@@ -109,6 +109,13 @@ class TestSubcommands:
         code = run(["--out-dir", str(tmp_path), "repr", "check", "--builtin", "nope"])
         assert code == 2
 
+    @pytest.mark.parametrize("name, param", [("theta-eta", "a=2"), ("sym2", "a=1j"), ("nonpoly", "b=1")])
+    def test_repr_check_refuses_parameter_not_taken(self, tmp_path, capsys, name, param):
+        code = run(["--out-dir", str(tmp_path), "repr", "check", "--builtin", name, "--param", param])
+        assert code == 2
+        assert f"builtin representation {name!r} takes" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_repr_growth_nonpoly(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "repr", "growth", "--builtin", "nonpoly", "--param", "a=1j"])
         assert code == 0
@@ -167,11 +174,12 @@ class TestSubcommands:
         verdict = payload["report"]["verdict"] if command == "growth" else payload["verdict"]
         assert verdict == "DEGENERATE"
 
-    @pytest.mark.parametrize("command", ["growth", "meansq"])
+    @pytest.mark.parametrize("command", ["growth", "meansq", "coeffs"])
     def test_vvaf_negative_n_refused(self, tmp_path, capsys, command):
         code = run(["--out-dir", str(tmp_path), "vvaf", command, "--builtin", "delta", "-N", "-4"])
         assert code == 2
         assert "nmax must be at least 0, got -4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_vvaf_growth_csv_writes_coefficient_norms(self, tmp_path):
         from vvaf.forms import sym2_log_form

@@ -47,7 +47,7 @@ class TestAssembly:
 
     def test_json_round_trip(self):
         X = eta4_theta_eta_form(20)
-        back = VVAF.from_json(X.to_json(truncation_order=20))
+        back = VVAF.from_json(X.to_json())
         assert back.k == X.k
         assert back.cusp_form == X.cusp_form
         tau = 0.2 + 1.4j

@@ -204,6 +204,23 @@ class TestWordDecompose:
         w2 = Word((("s", -1), ("t", 0), ("s", 1)))
         assert w2.letters == ()
 
+    def test_word_reduction_random_letters(self):
+        # reduction keeps the element and leaves no two adjacent letters on one generator
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            letters = [
+                (str(rng.choice(["s", "t"])), int(rng.integers(-3, 4)))
+                for _ in range(int(rng.integers(0, 13)))
+            ]
+            product = identity()
+            for gen, exp in letters:
+                product = product * (gen_s() ** exp if gen == "s" else t_power(exp))
+            word = Word(tuple(letters))
+            assert word.evaluate() == product
+            reduced = word.letters
+            assert all(a[0] != b[0] for a, b in zip(reduced, reduced[1:]))
+            assert all(exp != 0 and (gen == "t" or exp == 1) for gen, exp in reduced)
+
     def test_word_json(self):
         w = word_decompose(GroupElement(2, 1, 1, 1))
         assert Word.from_json(w.to_json()) == w

@@ -351,7 +351,7 @@ class TestCoefficientIntegral:
 
 class TestLogRecouple:
     def test_block_size_one_is_identity(self):
-        base = LogQExpansion.from_series(FracQSeries(1, 3, 1, [1.0, 0.5]))
+        base = LogQExpansion({0: FracQSeries(1, 3, 1, [1.0, 0.5])})
         out = log_recouple("forward", [base])
         tau = 0.2 + 1.2j
         assert abs(out[0].evaluate(tau) - base.evaluate(tau)) < 1e-14
@@ -389,6 +389,31 @@ class TestLogRecouple:
         tau = 0.4 + 1.3j
         assert abs(x0.evaluate(tau + 1) - lam * x0.evaluate(tau)) < 1e-12
         assert abs(x1.evaluate(tau + 1) - lam * (x1.evaluate(tau) + x0.evaluate(tau))) < 1e-12
+
+    def test_width_two_round_trip(self):
+        # the width comes from the components: under tau -> tau + 2 the pure
+        # exponents 1/3 and 4/3 both pick up lambda = exp(2 pi i/3)
+        lam = np.exp(2j * math.pi / 3)
+        pure = [
+            LogQExpansion({0: FracQSeries(2, 3, 1, coeffs)})
+            for coeffs in ([1.0, 0, 0, 0.5], [0.3], [2.0, 0, 0, -1.0])
+        ]
+        mixed = log_recouple("backward", pure)
+        assert [x.h for x in mixed] == [2, 2, 2]
+        tau = 0.4 + 1.3j
+        for i in (1, 2):
+            shifted = mixed[i].evaluate(tau + 2)
+            assert abs(shifted - lam * (mixed[i].evaluate(tau) + mixed[i - 1].evaluate(tau))) < 1e-12
+        back = log_recouple("forward", mixed)
+        for tau in (0.3 + 1.1j, -0.2 + 0.8j, 2.0j):
+            for x, y in zip(back, pure):
+                assert abs(x.evaluate(tau) - y.evaluate(tau)) < 1e-12
+
+    def test_mixed_widths_rejected(self):
+        x0 = LogQExpansion({0: FracQSeries(1, 3, 1, [1.0])})
+        x1 = LogQExpansion({0: FracQSeries(2, 3, 1, [1.0])})
+        with pytest.raises(ValueError, match="share one width"):
+            log_recouple("forward", [x0, x1])
 
     def test_not_closed_inputs_rejected(self):
         # a lone log term with no partner is not closed under the block action

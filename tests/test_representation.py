@@ -102,6 +102,24 @@ class TestEvaluate:
                 scale = max(1.0, float(np.linalg.norm(lhs)))
                 assert np.max(np.abs(lhs - rhs)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("theta-eta", {"a": 2}, "'theta-eta' takes no parameters; got a"),
+            ("sym2", {"group": gamma_n(2)}, "'sym2' takes no parameters; got group"),
+            ("nonpoly", {"group": gamma_n(2)}, "'nonpoly' takes only a; got group"),
+            ("trivial", {"a": 1j, "b": 0}, "'trivial' takes only group; got a, b"),
+        ],
+        ids=["theta-eta", "sym2", "nonpoly", "trivial"],
+    )
+    def test_builtin_refuses_parameters_not_taken(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
+            builtin(name, **params)
+
+    def test_builtin_applies_parameter_a(self):
+        a = 0.5j
+        assert np.allclose(builtin("nonpoly", a=a).mat_s[0], [a, -(a + 1), 1])
+
     def test_membership_enforced(self):
         rho = builtin("trivial", group=gamma_n(2))
         with pytest.raises(ValueError):
