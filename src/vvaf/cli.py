@@ -4,7 +4,8 @@ Subcommands load a built-in representation or form by name, run the
 verification suites and write JSON/CSV artifacts.  Outputs are
 deterministic given the configuration: sampler seeds are part of the
 config and echoed into every report, floats are serialized with fixed
-formatting, and JSON keys are sorted.
+formatting, and JSON keys are sorted.  JSON artifacts are strict: a
+non-finite float is written as null.
 
 Exit codes: 0 on success, 1 when any verification verdict is FAIL, 2 on
 usage or input errors.
@@ -14,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,15 +85,27 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, however deeply nested, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_artifacts(out_dir: Path, artifacts: dict, builtin_name: str, seed: int) -> None:
     """Write ``name -> payload`` pairs: a dict as JSON, a (header, rows) pair as CSV.
 
-    Every JSON payload carries the builtin name and the seed.
+    Every JSON payload carries the builtin name and the seed, and is
+    strict JSON: a non-finite float is written as null.
     """
     for name, content in artifacts.items():
         if name.endswith(".json"):
-            payload = {**content, "builtin": builtin_name, "seed": seed}
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            payload = _finite_or_null({**content, "builtin": builtin_name, "seed": seed})
+            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
         else:
             header, rows = content
             lines = [header]
@@ -134,7 +148,7 @@ def _repr_check(args, config: RunConfig) -> tuple:
     eigs = sorted(np.linalg.eigvals(rho.mat_t), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
     payload = {
         "params": params,
-        "validation": report.as_dict(),
+        "validation": asdict(report),
         "admissible": bool(is_admissible(rho)) if report.passed else None,
         "polynomial_growth": bool(is_polynomial_growth(rho)),
         "t_eigenvalues": [[z.real, z.imag] for z in eigs],
@@ -147,7 +161,7 @@ def _repr_growth(args, config: RunConfig) -> tuple:
     fit = growth_exponent(rho, SamplerConfig(seed=config.seed))
     payload = {
         "params": params,
-        "fit": fit.as_dict(),
+        "fit": asdict(fit),
         "unitary_sampled": bool(is_unitary_sampled(rho, seed=config.seed)),
     }
     return {f"repr_growth_{args.builtin}.json": payload}, 0
@@ -199,7 +213,7 @@ def _vvaf_transform_check(args, config: RunConfig) -> tuple:
 def _vvaf_growth(args, config: RunConfig) -> tuple:
     X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
     report = coefficient_growth_report(X, args.N, alpha=config.alpha)
-    artifacts = {f"vvaf_growth_{args.builtin}.json": {"report": report.as_dict()}}
+    artifacts = {f"vvaf_growth_{args.builtin}.json": {"report": asdict(report)}}
     if config.format == "csv":
         norms = coefficient_norms(X, args.N)
         rows = [

@@ -51,16 +51,6 @@ class ExpSumScan:
     target_exponent: float
     verdict: str
 
-    def as_dict(self) -> dict:
-        return {
-            "thetas": list(self.thetas),
-            "cutoffs": list(self.cutoffs),
-            "sigma": self.sigma,
-            "target_exponent": self.target_exponent,
-            "verdict": self.verdict,
-            "ratios": self.ratios.tolist(),
-        }
-
 
 def bound_scan(X: VVAF, thetas, cutoffs, alpha: float = 0.0) -> ExpSumScan:
     """Scan the sums against the predicted envelope over a grid.

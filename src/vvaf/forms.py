@@ -14,7 +14,6 @@ block.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -156,32 +155,6 @@ class VVAF:
         k/2 + alpha for a cusp form and k + 2 alpha otherwise.
         """
         return self.k / 2.0 + alpha if self.cusp_form else self.k + 2.0 * alpha
-
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "weight": self.k,
-            "representation": json.loads(self.rep.to_json()),
-            "diagonalizer": [[[float(z.real), float(z.imag)] for z in row] for row in self.P],
-            "mu_offsets": [[off.numerator, off.denominator] for off in self.mu_offsets],
-            "components": [comp.as_dict() for comp in self.basis_components],
-            "flags": {
-                "holomorphic_at_infinity": self.holomorphic_at_infinity,
-                "cusp_form": self.cusp_form,
-                "logarithmic": self.is_logarithmic,
-            },
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "VVAF":
-        data = json.loads(text)
-        rep = Representation.from_json(json.dumps(data["representation"]))
-        P = np.array([[complex(re, im) for re, im in row] for row in data["diagonalizer"]])
-        comps = [LogQExpansion.from_dict(item) for item in data["components"]]
-        offsets = [Fraction(num, den) for num, den in data["mu_offsets"]]
-        return VVAF(data["weight"], rep, comps, diagonalizer=P, mu_offsets=offsets)
 
 
 def _grids(comp: LogQExpansion) -> list:

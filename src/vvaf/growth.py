@@ -43,19 +43,6 @@ class GrowthReport:
     alpha_used: float
     log_alpha_used: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "beta_emp": self.beta_emp,
-            "residual": self.residual,
-            "max_ratio": self.max_ratio,
-            "target": self.target,
-            "target_kind": self.target_kind,
-            "n_range": list(self.n_range),
-            "verdict": self.verdict,
-            "alpha_used": self.alpha_used,
-            "log_alpha_used": self.log_alpha_used,
-        }
-
 
 def coefficient_norms(X: VVAF, nmax: int) -> np.ndarray:
     """Largest entry modulus of the n-th coefficient data, log slots included.

@@ -57,16 +57,6 @@ class LValue:
     rigorous: bool
     n_terms: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "s": [self.s.real, self.s.imag],
-            "value": [[z.real, z.imag] for z in self.value],
-            "method": self.method,
-            "error": self.error,
-            "rigorous": self.rigorous,
-            "n_terms": self.n_terms,
-        }
-
 
 def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
     """One pass over the coefficients of every slot, and the truncation error.

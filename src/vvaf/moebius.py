@@ -10,7 +10,6 @@ value for the Moebius action.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -115,16 +114,6 @@ class GroupElement:
             n >>= 1
         return result
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps([[self.a, self.b], [self.c, self.d]])
-
-    @staticmethod
-    def from_json(text: str) -> "GroupElement":
-        (a, b), (c, d) = json.loads(text)
-        return GroupElement(a, b, c, d)
-
 
 def identity() -> GroupElement:
     return GroupElement(1, 0, 0, 1)
@@ -213,13 +202,6 @@ class Word:
             else:
                 g = g * t_power(exp)
         return g
-
-    def to_json(self) -> str:
-        return json.dumps([{"gen": g, "exp": e} for g, e in self.letters])
-
-    @staticmethod
-    def from_json(text: str) -> "Word":
-        return Word(tuple((item["gen"], item["exp"]) for item in json.loads(text)))
 
 
 def _reduce_letters(letters: Iterable) -> tuple:

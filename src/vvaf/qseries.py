@@ -218,23 +218,6 @@ class FracQSeries:
             f"terms={len(self.coeffs)}, order={self.order})"
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "denom": self.D,
-            "start": self.start,
-            "coeffs": [[float(z.real), float(z.imag)] for z in self.coeffs],
-            "order": None if self.order is None else [self.order.numerator, self.order.denominator],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "FracQSeries":
-        order = data.get("order")
-        if order is not None:
-            order = Fraction(order[0], order[1])
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]], dtype=complex)
-        return FracQSeries(data["h"], data["denom"], data["start"], coeffs, order=order)
-
     @staticmethod
     def zero(h: int = 1, order=None) -> "FracQSeries":
         return FracQSeries(h, 1, 0, np.zeros(0), order=order)
@@ -589,15 +572,6 @@ class LogQExpansion:
         for j, series in other.terms.items():
             terms[j] = terms[j] + series if j in terms else series
         return LogQExpansion(terms, h=self.h)
-
-    def as_dict(self) -> dict:
-        return {"terms": [{"log_power": j, "series": s.as_dict()} for j, s in self.terms.items()]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "LogQExpansion":
-        return LogQExpansion(
-            {item["log_power"]: FracQSeries.from_dict(item["series"]) for item in data["terms"]}
-        )
 
 
 # -- recoupling between log stacks and pure expansions -------------------------

@@ -12,7 +12,6 @@ so everything is safe for concurrent use.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ _MU_MAX_ORDER = 1000  # largest root-of-unity order mu recognizes
 _UNIT_CIRCLE_TOL = 1e-8  # distance of a parabolic eigenvalue from |z| = 1
 _UNITARY_SAMPLES = 50
 _UNITARY_TOL = 1e-10
+_WORD_ENTRY_BOUND = 10**6  # largest entry a sampled word may reach
 
 
 class Representation:
@@ -61,6 +61,8 @@ class Representation:
         if self.mat_s.shape[0] != self.mat_s.shape[1]:
             raise ValueError("generator images must be square")
         self.m = self.mat_s.shape[0]
+        if group is not None and not isinstance(group, SubgroupDescriptor):
+            raise ValueError(f"group must be a SubgroupDescriptor, got {group!r}")
         self.group = group if group is not None else psl2z()
         for name, mat in (("s", self.mat_s), ("t", self.mat_t)):
             sv = np.linalg.svd(mat, compute_uv=False)
@@ -84,47 +86,6 @@ class Representation:
             result = np.eye(self.m, dtype=complex)
         return result
 
-    def restrict(self, group: SubgroupDescriptor) -> "Representation":
-        return Representation(self.mat_s, self.mat_t, group=group)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        def enc_matrix(mat):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-
-        name = self.group.name
-        if name == "PSL2Z":
-            group_obj = "PSL2Z"
-        elif name.startswith("Gamma0("):
-            group_obj = {"gamma0": int(name[7:-1])}
-        elif name.startswith("Gamma("):
-            group_obj = {"gamma": int(name[6:-1])}
-        else:
-            group_obj = name
-        return json.dumps(
-            {"m": self.m, "s": enc_matrix(self.mat_s), "t": enc_matrix(self.mat_t), "group": group_obj},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Representation":
-        data = json.loads(text)
-
-        def dec_matrix(rows):
-            return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-        group_obj = data.get("group", "PSL2Z")
-        if group_obj == "PSL2Z":
-            group = psl2z()
-        elif isinstance(group_obj, dict) and "gamma" in group_obj:
-            group = moebius.gamma_n(group_obj["gamma"])
-        elif isinstance(group_obj, dict) and "gamma0" in group_obj:
-            group = moebius.gamma0_n(group_obj["gamma0"])
-        else:
-            raise ValueError(f"unknown group descriptor {group_obj!r}")
-        return Representation(dec_matrix(data["s"]), dec_matrix(data["t"]), group=group)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -132,14 +93,6 @@ class ValidationReport:
     st_relation_deviation: float
     passed: bool
     tolerance: float
-
-    def as_dict(self) -> dict:
-        return {
-            "s_relation_deviation": self.s_relation_deviation,
-            "st_relation_deviation": self.st_relation_deviation,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
 
 
 def validate(rho: Representation) -> ValidationReport:
@@ -432,9 +385,6 @@ def induce(rho: Representation, reps: list) -> Representation:
 class SamplerConfig:
     seed: int = 0
     n_samples: int = 400
-    max_word_len: int = 30
-    max_exponent: int = 6
-    entry_bound: int = 10**6
 
 
 @dataclass(frozen=True)
@@ -445,23 +395,15 @@ class GrowthFit:
     n_samples: int
     exp_rate: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "classification": self.classification,
-            "alpha_emp": self.alpha_emp,
-            "max_ratio": self.max_ratio,
-            "n_samples": self.n_samples,
-            "exp_rate": self.exp_rate,
-        }
 
-
-def _random_word_element(rng, config: SamplerConfig) -> GroupElement:
-    length = int(rng.integers(1, config.max_word_len + 1))
+def _random_word_element(rng, max_word_len: int, max_exponent: int) -> GroupElement:
+    """A word of up to ``max_word_len`` letters t^e s, |e| <= ``max_exponent``."""
+    length = int(rng.integers(1, max_word_len + 1))
     g = moebius.identity()
     for _ in range(length):
-        exp = int(rng.integers(-config.max_exponent, config.max_exponent + 1))
+        exp = int(rng.integers(-max_exponent, max_exponent + 1))
         nxt = g * moebius.t_power(exp) * gen_s()
-        if max(abs(e) for e in nxt.entries()) > config.entry_bound:
+        if max(abs(e) for e in nxt.entries()) > _WORD_ENTRY_BOUND:
             break
         g = nxt
     return g
@@ -470,10 +412,9 @@ def _random_word_element(rng, config: SamplerConfig) -> GroupElement:
 def is_unitary_sampled(rho: Representation, seed: int = 0) -> bool:
     """Whether the images of 50 sampled words are unitary, entrywise to 1e-10."""
     rng = np.random.default_rng(seed)
-    config = SamplerConfig(seed=seed, max_word_len=12, max_exponent=4)
     eye = np.eye(rho.m)
     for _ in range(_UNITARY_SAMPLES):
-        image = rho.evaluate(_random_word_element(rng, config))
+        image = rho.evaluate(_random_word_element(rng, max_word_len=12, max_exponent=4))
         if np.max(np.abs(image @ image.conj().T - eye)) > _UNITARY_TOL:
             return False
     return True
@@ -501,9 +442,9 @@ def growth_exponent(rho: Representation, config: SamplerConfig | None = None) ->
     log_gnorm, log_rnorm = [], []
     for i in range(config.n_samples):
         g = (
-            _random_word_element(rng, config)
+            _random_word_element(rng, max_word_len=30, max_exponent=6)
             if i % 2 == 0
-            else moebius.random_element(rng, entry_bound=config.entry_bound)
+            else moebius.random_element(rng)
         )
         if g == moebius.identity():
             continue

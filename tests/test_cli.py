@@ -17,6 +17,15 @@ def read(path: Path) -> str:
     return path.read_text()
 
 
+def strict_json(text: str):
+    """Parse ``text`` as strict JSON, refusing NaN, Infinity and -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 # the nine README commands at small sizes, with the files each writes
 README_COMMANDS = [
     ("repr check --builtin theta-eta", {"repr_check_theta-eta.json"}),
@@ -81,7 +90,7 @@ class TestSubcommands:
         builtin_name = argv.split()[argv.split().index("--builtin") + 1]
         for name in files:
             if name.endswith(".json"):
-                payload = json.loads(read(tmp_path / name))
+                payload = strict_json(read(tmp_path / name))
                 assert (payload["builtin"], payload["seed"]) == (builtin_name, 4)
 
     @pytest.mark.parametrize("cutoffs", ["0,10", "-5,10"])
@@ -116,11 +125,19 @@ class TestSubcommands:
         assert f"builtin representation {name!r} takes" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_repr_check_refuses_group_that_is_not_a_subgroup(self, tmp_path, capsys):
+        argv = ["--out-dir", str(tmp_path), "repr", "check", "--builtin", "trivial", "--param", "group=2"]
+        assert run(argv) == 2
+        assert "group must be a SubgroupDescriptor, got (2+0j)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_repr_growth_nonpoly(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "repr", "growth", "--builtin", "nonpoly", "--param", "a=1j"])
         assert code == 0
-        payload = json.loads(read(tmp_path / "repr_growth_nonpoly.json"))
-        assert payload["fit"]["classification"] == "exponential"
+        fit = strict_json(read(tmp_path / "repr_growth_nonpoly.json"))["fit"]
+        assert fit["classification"] == "exponential"
+        # an exponential-growth fit has no finite exponent or ratio: both are null
+        assert (fit["alpha_emp"], fit["max_ratio"]) == (None, None)
 
     def test_vvaf_coeffs_csv(self, tmp_path):
         code = run(["--out-dir", str(tmp_path), "vvaf", "coeffs", "--builtin", "theta-eta", "-N", "10", "--format", "csv"])
@@ -170,9 +187,12 @@ class TestSubcommands:
     def test_vvaf_fit_through_fewer_than_two_points_degenerate(self, tmp_path, command, n):
         code = run(["--out-dir", str(tmp_path), "vvaf", command, "--builtin", "delta", "-N", n])
         assert code == 0
-        payload = json.loads(read(tmp_path / f"vvaf_{command}_delta.json"))
-        verdict = payload["report"]["verdict"] if command == "growth" else payload["verdict"]
-        assert verdict == "DEGENERATE"
+        payload = strict_json(read(tmp_path / f"vvaf_{command}_delta.json"))
+        report = payload["report"] if command == "growth" else payload
+        assert report["verdict"] == "DEGENERATE"
+        # a fit through fewer than two points has no slope: it is written as null
+        undefined = ("beta_emp", "residual") if command == "growth" else ("slope",)
+        assert [report[key] for key in undefined] == [None] * len(undefined)
 
     @pytest.mark.parametrize("command", ["growth", "meansq", "coeffs"])
     def test_vvaf_negative_n_refused(self, tmp_path, capsys, command):

@@ -110,10 +110,3 @@ class TestBoundScan:
         for a, theta in enumerate(thetas):
             for b, cutoff in enumerate(cutoffs):
                 assert np.array_equal(scan.sums[a, b], exp_sum(Y, theta, cutoff))
-
-    def test_serializable(self):
-        import json
-
-        scan = bound_scan(delta_form(600), [0.0, 0.5], [100, 200, 500], alpha=0.0)
-        payload = json.dumps(scan.as_dict())
-        assert "PASS" in payload

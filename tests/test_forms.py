@@ -45,14 +45,6 @@ class TestAssembly:
         X0 = theta_eta_form(40)
         assert not X0.cusp_form and not X0.holomorphic_at_infinity
 
-    def test_json_round_trip(self):
-        X = eta4_theta_eta_form(20)
-        back = VVAF.from_json(X.to_json())
-        assert back.k == X.k
-        assert back.cusp_form == X.cusp_form
-        tau = 0.2 + 1.4j
-        assert np.allclose(back.evaluate(tau), X.evaluate(tau), atol=1e-12)
-
 
 def _flags_by_definition(X):
     """Flags and default offsets from every occupied exponent, as Fractions."""

@@ -56,10 +56,6 @@ class TestGroupElement:
         assert gen_t() ** 5 == t_power(5)
         assert gen_t() ** -3 == t_power(-3)
 
-    def test_json_round_trip(self):
-        g = GroupElement(2, 1, 1, 1)
-        assert GroupElement.from_json(g.to_json()) == g
-
     @pytest.mark.parametrize("entries", [(1.0, 0, 0, 1), (Fraction(1, 2), 0, 0, 2), (1, 0, 0, "1")])
     def test_refuses_non_integer_entries(self, entries):
         with pytest.raises(ValueError, match="entries must be integers"):
@@ -220,10 +216,6 @@ class TestWordDecompose:
             reduced = word.letters
             assert all(a[0] != b[0] for a, b in zip(reduced, reduced[1:]))
             assert all(exp != 0 and (gen == "t" or exp == 1) for gen, exp in reduced)
-
-    def test_word_json(self):
-        w = word_decompose(GroupElement(2, 1, 1, 1))
-        assert Word.from_json(w.to_json()) == w
 
 
 class TestCusps:

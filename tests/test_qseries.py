@@ -421,17 +421,3 @@ class TestLogRecouple:
         bad = LogQExpansion({1: base})
         with pytest.raises(ValueError):
             log_recouple("forward", [bad, LogQExpansion({0: base})])
-
-
-class TestSerialization:
-    def test_series_round_trip(self):
-        eta = eta_series(12)
-        back = FracQSeries.from_dict(eta.as_dict())
-        assert back.D == eta.D and back.start == eta.start
-        assert np.allclose(back.coeffs, eta.coeffs)
-        assert back.order == eta.order
-
-    def test_expansion_round_trip(self):
-        exp = LogQExpansion({0: eta_series(8), 2: theta_series(3, 8)})
-        back = LogQExpansion.from_dict(exp.as_dict())
-        assert sorted(back.terms) == sorted(exp.terms)

@@ -120,6 +120,10 @@ class TestEvaluate:
         a = 0.5j
         assert np.allclose(builtin("nonpoly", a=a).mat_s[0], [a, -(a + 1), 1])
 
+    def test_group_must_be_a_subgroup_descriptor(self):
+        with pytest.raises(ValueError, match="group must be a SubgroupDescriptor, got 2"):
+            Representation(np.eye(1), np.eye(1), group=2)
+
     def test_membership_enforced(self):
         rho = builtin("trivial", group=gamma_n(2))
         with pytest.raises(ValueError):
@@ -136,15 +140,6 @@ class TestEvaluate:
     def test_removed_delta_alias_unknown(self):
         with pytest.raises(ValueError, match="unknown builtin representation"):
             builtin("delta-multiplier-weight-12-trivial")
-
-    def test_json_round_trip(self):
-        rho = builtin("theta-eta")
-        back = Representation.from_json(rho.to_json())
-        assert np.allclose(back.mat_s, rho.mat_s)
-        assert np.allclose(back.mat_t, rho.mat_t)
-        sub = builtin("trivial", group=gamma_n(2))
-        back = Representation.from_json(sub.to_json())
-        assert back.group.name == "Gamma(2)"
 
 
 def _short_word_element(rng, max_exponent):
@@ -313,7 +308,8 @@ class TestInduce:
         trivial = builtin("trivial", group=group)
         assert is_polynomial_growth(trivial)
         assert is_polynomial_growth(induce(trivial, reps))
-        nonpoly_restricted = builtin("nonpoly", a=1j).restrict(group)
+        nonpoly = builtin("nonpoly", a=1j)
+        nonpoly_restricted = Representation(nonpoly.mat_s, nonpoly.mat_t, group=group)
         assert not is_polynomial_growth(nonpoly_restricted)
         assert not is_polynomial_growth(induce(nonpoly_restricted, reps))
 
