@@ -69,19 +69,19 @@ class VVAF:
         if len(widths) != 1:
             raise ValueError("all component expansions must share one width")
         self.h = widths.pop()
-        grids = [_grids(comp) for comp in self.basis_components]
+        nonzero = [[s for s in comp.terms.values() if not s.is_zero()] for comp in self.basis_components]
         if mu_offsets is None:
-            mu_offsets = [_lead_offset(grid) for grid in grids]
+            mu_offsets = [_lead_offset(series) for series in nonzero]
         self.mu_offsets = [Fraction(x) for x in mu_offsets]
-        for comp, grid, off in zip(self.basis_components, grids, self.mu_offsets):
-            # every exponent is lead + j/D over the occupied indices j, and
-            # stride/D is integral exactly when D divides all of them
-            if any((lead - off).denominator != 1 or stride % D for lead, stride, D in grid):
+        for comp, series, off in zip(self.basis_components, nonzero, self.mu_offsets):
+            # every exponent is the lowest one plus a multiple of stride/D,
+            # which is integral exactly when D divides the stride
+            if any((s.leading_exponent - off).denominator != 1 or s.stride % s.D for s in series):
                 e = next(e for e in comp.occupied_exponents() if (e - off).denominator != 1)
                 raise ValueError(
                     f"component exponent {e} is not an integer shift of its offset {off}"
                 )
-        leads = [lead for grid in grids for lead, _, _ in grid]
+        leads = [s.leading_exponent for series in nonzero for s in series]
         self.holomorphic_at_infinity = all(lead >= 0 for lead in leads)
         self.cusp_form = all(lead > 0 for lead in leads)
         self.is_logarithmic = any(comp.max_log_power() > 0 for comp in self.basis_components)
@@ -91,13 +91,6 @@ class VVAF:
         return self.rep.m
 
     # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, tau: complex, with_tail: bool = False):
-        """Component vector at tau, optionally with a tail bound: one row of :meth:`evaluate_many`."""
-        if with_tail:
-            values, tails = self.evaluate_many([tau], with_tail=True)
-            return values[0], float(tails[0])
-        return self.evaluate_many([tau])[0]
 
     def evaluate_many(self, taus, with_tail: bool = False):
         """Component vectors at a 1-d array of points, one row per point.
@@ -157,24 +150,10 @@ class VVAF:
         return self.k / 2.0 + alpha if self.cusp_form else self.k + 2.0 * alpha
 
 
-def _grids(comp: LogQExpansion) -> list:
-    """(lowest exponent, index stride, D) of every nonzero series of ``comp``.
-
-    Normalized series store a nonzero coefficient at index 0, so the
-    lowest exponent is start/D and the gcd of the occupied indices is the
-    stride of the gaps between them (0 for a single term).
-    """
-    return [
-        (Fraction(series.start, series.D), int(np.gcd.reduce(np.flatnonzero(series.coeffs))), series.D)
-        for series in comp.terms.values()
-        if not series.is_zero()
-    ]
-
-
-def _lead_offset(grid: list) -> Fraction:
-    if not grid:
+def _lead_offset(series: list) -> Fraction:
+    if not series:
         return Fraction(0)
-    lead = min(lead for lead, _, _ in grid)
+    lead = min(s.leading_exponent for s in series)
     return lead - math.floor(lead)
 
 
@@ -219,6 +198,12 @@ def _theta_eta_diagonalizer() -> np.ndarray:
     )
 
 
+def _theta_basis(n_terms: int) -> list:
+    """theta2 and the translation eigencombinations (theta3 +/- theta4)/sqrt 2."""
+    t2, t3, t4 = (theta_series(variant, n_terms) for variant in (2, 3, 4))
+    return [t2, (t3 + t4) * _SQRT_HALF, (t3 - t4) * _SQRT_HALF]
+
+
 @lru_cache(maxsize=8)
 def theta_eta_form(n_terms: int = 60) -> VVAF:
     """The weight-0 vector (theta2, theta3, theta4)/eta.
@@ -228,19 +213,10 @@ def theta_eta_form(n_terms: int = 60) -> VVAF:
     of the translation image.
     """
     eta = eta_series(n_terms + 2)
-    t2 = theta_series(2, n_terms + 2)
-    t3 = theta_series(3, n_terms + 2)
-    t4 = theta_series(4, n_terms + 2)
-    comp0 = t2 / eta
-    plus = (t3 + t4) * _SQRT_HALF
-    minus = (t3 - t4) * _SQRT_HALF
-    comp1 = plus / eta
-    comp2 = minus / eta
-    rep = builtin("theta-eta")
     return VVAF(
         0,
-        rep,
-        [comp0, comp1, comp2],
+        builtin("theta-eta"),
+        [theta / eta for theta in _theta_basis(n_terms + 2)],
         diagonalizer=_theta_eta_diagonalizer(),
         mu_offsets=[Fraction(1, 12), Fraction(-1, 24), Fraction(11, 24)],
     )
@@ -254,20 +230,12 @@ def eta4_theta_eta_form(n_terms: int = 60) -> VVAF:
     the leading exponents 1/4, 1/8 and 5/8 are strictly positive.
     """
     eta3 = eta_power_series(3, n_terms + 2)
-    t2 = theta_series(2, n_terms + 2)
-    t3 = theta_series(3, n_terms + 2)
-    t4 = theta_series(4, n_terms + 2)
-    comp0 = eta3 * t2
-    plus = (t3 + t4) * _SQRT_HALF
-    minus = (t3 - t4) * _SQRT_HALF
-    comp1 = eta3 * plus
-    comp2 = eta3 * minus
     base = builtin("theta-eta")
     twisted = Representation(-base.mat_s, np.exp(1j * np.pi / 3) * base.mat_t)
     return VVAF(
         2,
         twisted,
-        [comp0, comp1, comp2],
+        [eta3 * theta for theta in _theta_basis(n_terms + 2)],
         diagonalizer=_theta_eta_diagonalizer(),
         mu_offsets=[Fraction(1, 4), Fraction(1, 8), Fraction(5, 8)],
     )

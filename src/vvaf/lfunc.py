@@ -38,7 +38,6 @@ __all__ = [
     "LValue",
     "dirichlet_L",
     "completed_L",
-    "functional_equation_residual",
     "functional_equation_sign",
 ]
 
@@ -271,17 +270,6 @@ def _fe_residuals(X: VVAF, s: complex, split: float) -> tuple:
     plus = float(np.linalg.norm(left - factor * right))
     minus = float(np.linalg.norm(left + factor * right))
     return plus, minus
-
-
-def functional_equation_residual(X: VVAF, s: complex, sign: int, split: float = 1.3) -> float:
-    """Norm of rho(S) Lambda(s) - sign (h i)^-k h^(2k-2s) Lambda(k-s).
-
-    ``sign`` is +1 or -1; a split of 1 is rejected (see the sign scan).
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    plus, minus = _fe_residuals(X, s, split)
-    return plus if sign == 1 else minus
 
 
 def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6, split: float = 1.3) -> dict:

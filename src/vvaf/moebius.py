@@ -266,18 +266,10 @@ def integral_scaling_matrix(cusp) -> GroupElement:
         raise ValueError(f"cusp must be INF, an int or a Fraction, got {cusp!r}")
     frac = Fraction(cusp)
     p, q = frac.numerator, frac.denominator
-    # p*d - b*q = 1 via the extended Euclidean algorithm
-    d, b = _xgcd_pair(p, q)
-    return GroupElement(p, b, q, d)
-
-
-def _xgcd_pair(p: int, q: int) -> tuple:
-    """Return (d, b) with p*d - b*q = 1 for coprime p, q."""
-    g, x, y = _xgcd(p, q)
-    if g != 1:
-        raise ValueError("cusp must be given in lowest terms")
-    # p*x + q*y = 1  ->  d = x, b = -y
-    return x, -y
+    # p*d - b*q = 1 via the extended Euclidean algorithm: a Fraction is in
+    # lowest terms, so p*x + q*y = 1 and d = x, b = -y
+    _, x, y = _xgcd(p, q)
+    return GroupElement(p, -y, q, x)
 
 
 def _xgcd(a: int, b: int) -> tuple:

@@ -56,13 +56,16 @@ class FracQSeries:
 
     ``order`` is the exponent up to which the stored coefficients are
     complete (exclusive); ``None`` marks an exact series with no tail.
-    Construction trims zero fringes and reduces the grid so that the
-    denominator and the occupied indices share no common factor.  A
-    nonzero series therefore stores a nonzero coefficient at index 0, and
-    its lowest exponent is start/D.
+    Construction drops the terms at or beyond the order, trims zero
+    fringes and reduces the grid so that the denominator and the occupied
+    indices share no common factor.  A nonzero series therefore stores
+    nonzero coefficients at its first and last index, and its lowest
+    exponent is start/D.  ``stride`` is the gcd of the occupied indices:
+    every exponent is start/D plus a multiple of stride/D (0 for a single
+    term or none).
     """
 
-    __slots__ = ("h", "D", "start", "coeffs", "order")
+    __slots__ = ("h", "D", "start", "coeffs", "order", "_stride")
 
     def __init__(self, h: int, D: int, start: int, coeffs, order=None):
         coeffs = np.array(coeffs, dtype=complex)  # own copy: the series is immutable
@@ -70,15 +73,20 @@ class FracQSeries:
             raise ValueError("width and exponent denominator must be positive")
         if order is not None:
             order = Fraction(order)
-        h, D, start, coeffs, order = _normalize(h, D, start, coeffs, order)
+        h, D, start, coeffs, order, stride = _normalize(h, D, start, coeffs, order)
         self.h = h
         self.D = D
         self.start = int(start)
         self.coeffs = np.ascontiguousarray(coeffs)
         self.coeffs.setflags(write=False)
         self.order = order
+        self._stride = stride
 
     # -- structure ----------------------------------------------------------
+
+    @property
+    def stride(self) -> int:
+        return self._stride
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -97,11 +105,7 @@ class FracQSeries:
 
     def occupied(self) -> list:
         """(exponent, coefficient) pairs of the nonzero stored terms."""
-        return [
-            (Fraction(self.start + j, self.D), self.coeffs[j])
-            for j in range(len(self.coeffs))
-            if self.coeffs[j] != 0
-        ]
+        return [(Fraction(self.start + j, self.D), self.coeffs[j]) for j in np.flatnonzero(self.coeffs).tolist()]
 
     def coefficient(self, exponent) -> complex:
         exponent = Fraction(exponent)
@@ -135,13 +139,6 @@ class FracQSeries:
         return out
 
     # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, tau: complex, with_tail: bool = False):
-        """Value at tau, optionally with a geometric tail bound: one row of :meth:`evaluate_many`."""
-        if with_tail:
-            values, tails = self.evaluate_many([tau], with_tail=True)
-            return complex(values[0]), float(tails[0])
-        return complex(self.evaluate_many([tau])[0])
 
     def evaluate_many(self, taus, with_tail: bool = False):
         """Values at an array of points, optionally with geometric tail bounds.
@@ -224,30 +221,25 @@ class FracQSeries:
 
 
 def _normalize(h, D, start, coeffs, order):
-    # trim the zero fringe
+    """(h, D, start, coeffs, order, stride) of the reduced series."""
+    # drop stored terms at or beyond the truncation order, then trim the zero fringe
+    if order is not None:
+        coeffs = coeffs[: max(0, math.ceil(order * D - start))]  # indices j with (start+j)/D < order
     nz = np.flatnonzero(coeffs)
     if len(nz) == 0:
-        return h, 1, 0, np.zeros(0, dtype=complex), order
-    lo, hi = int(nz[0]), int(nz[-1])
-    coeffs = coeffs[lo : hi + 1]
-    start += lo
-    nz = nz - lo
-    # drop stored terms at or beyond the truncation order
-    if order is not None:
-        keep = math.ceil(order * D - start)  # indices j with (start+j)/D < order
-        keep = max(0, min(len(coeffs), keep))
-        coeffs = coeffs[:keep]
-        if len(coeffs) == 0:
-            return h, 1, 0, np.zeros(0, dtype=complex), order
-        nz = nz[nz < keep]
+        return h, 1, 0, np.zeros(0, dtype=complex), order, 0
+    coeffs = coeffs[nz[0] : nz[-1] + 1]
+    start += int(nz[0])
+    nz = nz - nz[0]
     # reduce the exponent grid; index 0 is occupied, so every occupied
     # index is a multiple of g and the reduced grid starts at start/g
-    g = math.gcd(D, start, int(np.gcd.reduce(nz)))
+    stride = int(np.gcd.reduce(nz))
+    g = math.gcd(D, start, stride)
     if g > 1:
-        reduced = coeffs[: nz[-1] + 1 : g]
+        reduced = coeffs[::g]
         # unoccupied slots read +0, whatever the sign of the zero they held
-        coeffs, start, D = np.where(reduced != 0, reduced, 0), start // g, D // g
-    return h, D, start, np.ascontiguousarray(coeffs), order
+        coeffs, start, D, stride = np.where(reduced != 0, reduced, 0), start // g, D // g, stride // g
+    return h, D, start, np.ascontiguousarray(coeffs), order, stride
 
 
 def _same_width(f: FracQSeries, g: FracQSeries) -> None:
@@ -274,12 +266,6 @@ def _upsample(f: FracQSeries, D: int):
 def _min_order(*orders):
     known = [o for o in orders if o is not None]
     return min(known) if known else None
-
-
-def _stride_of(nonzero_positions: np.ndarray) -> int:
-    if len(nonzero_positions) < 2:
-        return 0  # a point mass sits in every stride class
-    return int(np.gcd.reduce(np.diff(nonzero_positions)))
 
 
 def _add(f: FracQSeries, g: FracQSeries) -> FracQSeries:
@@ -314,17 +300,15 @@ def _mul(f: FracQSeries, g: FracQSeries) -> FracQSeries:
     if f.is_zero() or g.is_zero():
         return FracQSeries.zero(f.h, order=order)
     D, fa, fs, ga, gs = _aligned(f, g)
-    # convolve only the occupied stride classes; sparse factors like the
-    # eta powers stay exact and the work drops by the stride squared
-    nzf = np.flatnonzero(fa != 0)
-    nzg = np.flatnonzero(ga != 0)
-    step = math.gcd(_stride_of(nzf), _stride_of(nzg))
-    if step > 1:
-        conv = _convolve(fa[nzf[0] :: step], ga[nzg[0] :: step])
-        out = np.zeros((len(conv) - 1) * step + 1, dtype=complex)
-        out[::step] = conv
-        return FracQSeries(f.h, D, fs + gs + int(nzf[0]) + int(nzg[0]), out, order=order)
-    return FracQSeries(f.h, D, fs + gs, _convolve(fa, ga), order=order)
+    # convolve only the occupied stride class; sparse factors like the eta
+    # powers stay exact and the work drops by the stride squared.  A point
+    # mass (stride 0) sits in every class; two of them give step 0, which
+    # the max turns into 1
+    step = max(1, math.gcd(f.stride * (D // f.D), g.stride * (D // g.D)))
+    conv = _convolve(fa[::step], ga[::step])
+    out = np.zeros((len(conv) - 1) * step + 1, dtype=complex)
+    out[::step] = conv
+    return FracQSeries(f.h, D, fs + gs, out, order=order)
 
 
 def _div(f: FracQSeries, g: FracQSeries) -> FracQSeries:
@@ -364,7 +348,7 @@ def _div(f: FracQSeries, g: FracQSeries) -> FracQSeries:
     # reads the full dense prefix, so the sums are grouped as in the dense
     # recurrence and the quotient is the same to the last bit
     out = fa_padded / g0
-    step = _stride_of(np.flatnonzero(ga)) or 1
+    step = g.stride * (D // g.D) or 1
     live = np.zeros(step, dtype=bool)
     live[np.flatnonzero(fa_padded) % step] = True
     for k in np.flatnonzero(live[np.arange(n_terms) % step]).tolist():
@@ -404,18 +388,15 @@ def eta_series(n_terms: int) -> FracQSeries:
     Coefficients live on the grid with denominator 24 and leading exponent
     1/24; complete through exponent n_terms + 1/24.
     """
-    if n_terms < 1:
-        raise ValueError("need at least one term")
-    euler = np.array(_euler_product(n_terms))
-    coeffs = np.zeros(24 * n_terms + 1, dtype=complex)
-    coeffs[::24] = euler
-    return FracQSeries(1, 24, 1, coeffs, order=Fraction(24 * (n_terms + 1) + 1, 24))
+    return eta_power_series(1, n_terms)
 
 
 def eta_power_series(power: int, n_terms: int) -> FracQSeries:
     """Integer power of eta; the weight-12 cusp form is the 24th power."""
     if power < 1:
         raise ValueError("power must be positive")
+    if n_terms < 1:
+        raise ValueError("need at least one term")
     euler = np.array(_euler_product(n_terms), dtype=complex)
     acc = np.ones(1, dtype=complex)
     base = euler
@@ -537,13 +518,6 @@ class LogQExpansion:
         for series in self.terms.values():
             out.update(e for e, _ in series.occupied())
         return sorted(out)
-
-    def evaluate(self, tau: complex, with_tail: bool = False):
-        """Value at tau, optionally with a tail bound: one row of :meth:`evaluate_many`."""
-        if with_tail:
-            values, tails = self.evaluate_many([tau], with_tail=True)
-            return complex(values[0]), float(tails[0])
-        return complex(self.evaluate_many([tau])[0])
 
     def evaluate_many(self, taus, with_tail: bool = False):
         """Values at an array of points; see :meth:`FracQSeries.evaluate_many`.

@@ -138,16 +138,20 @@ class JordanData:
     residual: float
 
     def jordan_matrix(self) -> np.ndarray:
-        m = sum(size for _, size in self.blocks)
-        J = np.zeros((m, m), dtype=complex)
-        pos = 0
-        for lam, size in self.blocks:
-            for i in range(size):
-                J[pos + i, pos + i] = lam
-                if i + 1 < size:
-                    J[pos + i, pos + i + 1] = 1.0
-            pos += size
-        return J
+        return _jordan_matrix(self.blocks)
+
+
+def _jordan_matrix(blocks) -> np.ndarray:
+    m = sum(size for _, size in blocks)
+    J = np.zeros((m, m), dtype=complex)
+    pos = 0
+    for lam, size in blocks:
+        for i in range(size):
+            J[pos + i, pos + i] = lam
+            if i + 1 < size:
+                J[pos + i, pos + i + 1] = 1.0
+        pos += size
+    return J
 
 
 class IllConditionedJordanError(ValueError):
@@ -255,10 +259,8 @@ def jordan_form(M, tol: float = 1e-8) -> JordanData:
             "clustering tolerance looser than that spread is usually needed",
         )
     P = np.column_stack(columns)
-    data = JordanData(P=P, blocks=tuple(blocks), tol=tol, residual=0.0)
-    J = data.jordan_matrix()
     try:
-        recon = P @ J @ np.linalg.inv(P)
+        recon = P @ _jordan_matrix(blocks) @ np.linalg.inv(P)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedJordanError(float("inf"), f"singular chain basis: {exc}") from exc
     residual = float(np.max(np.abs(recon - M))) / scale

@@ -183,17 +183,16 @@ def test_criterion_09_logarithmic_machinery():
     forward = log_recouple("forward", [x0, x1])
     back = log_recouple("backward", forward)
     for tau in (0.3 + 1.1j, -0.2 + 0.8j, 2.0j):
-        assert abs(back[0].evaluate(tau) - x0.evaluate(tau)) < 1e-12
-        assert abs(back[1].evaluate(tau) - x1.evaluate(tau)) < 1e-12
+        assert abs(back[0].evaluate_many([tau])[0] - x0.evaluate_many([tau])[0]) < 1e-12
+        assert abs(back[1].evaluate_many([tau])[0] - x1.evaluate_many([tau])[0]) < 1e-12
 
     # translation consistency of the unipotent synthetic expansion
     S = sym2_log_form(40)
     rho_t = S.rep.mat_t
-    for x in np.linspace(0.0, 0.95, 20):
-        tau = complex(x, 1.2)
-        lhs, tail1 = S.evaluate(tau + 1, with_tail=True)
-        rhs_vec, tail2 = S.evaluate(tau, with_tail=True)
-        assert np.linalg.norm(lhs - rho_t @ rhs_vec) <= max(1e-10, 10 * (tail1 + tail2))
+    taus = np.linspace(0.0, 0.95, 20) + 1.2j
+    lhs, tail1 = S.evaluate_many(taus + 1, with_tail=True)
+    rhs, tail2 = S.evaluate_many(taus, with_tail=True)
+    assert np.all(np.linalg.norm(lhs - rhs @ rho_t.T, axis=-1) <= np.maximum(1e-10, 10 * (tail1 + tail2)))
 
 
 def test_criterion_10_induction_invariance():

@@ -201,6 +201,11 @@ class TestSubcommands:
         assert "nmax must be at least 0, got -4" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_lfunc_eval_refuses_fewer_than_one_term(self, tmp_path, capsys):
+        argv = ["--out-dir", str(tmp_path), "lfunc", "eval", "--builtin", "delta", "--s", "8", "--n-terms", "-3"]
+        assert run(argv) == 2
+        assert "need at least one term" in capsys.readouterr().err
+
     def test_vvaf_growth_csv_writes_coefficient_norms(self, tmp_path):
         from vvaf.forms import sym2_log_form
         from vvaf.growth import coefficient_norms

@@ -129,6 +129,27 @@ class TestFlagDefinition:
             VVAF(0, builtin("trivial"), [comp], mu_offsets=[0])
 
 
+def _stored_series(X):
+    return [series for comp in X.basis_components for series in comp.terms.values() if not series.is_zero()]
+
+
+class TestStoredGrid:
+    """Every stored series of a built-in form is trimmed and knows its stride."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FORMS))
+    @pytest.mark.parametrize("n_terms", [60, 100])
+    def test_first_and_last_slots_occupied(self, name, n_terms):
+        # a dead trailing slot would still be exponentiated by evaluate_many
+        for series in _stored_series(builtin_form(name, n_terms)):
+            assert series.coeffs[0] != 0 and series.coeffs[-1] != 0
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_FORMS))
+    @pytest.mark.parametrize("n_terms", [60, 100])
+    def test_stride_is_gcd_of_occupied_indices(self, name, n_terms):
+        for series in _stored_series(builtin_form(name, n_terms)):
+            assert series.stride == np.gcd.reduce(np.flatnonzero(series.coeffs))
+
+
 class TestEvaluation:
     def test_component_views_match_direct_series(self):
         # plain components of the quotient vector are theta_j / eta
@@ -137,24 +158,24 @@ class TestEvaluation:
         X = theta_eta_form(40)
         eta = eta_series(42)
         tau = 0.3 + 1.2j
-        values = X.evaluate(tau)
+        values = X.evaluate_many([tau])[0]
         for i, variant in enumerate((2, 3, 4)):
-            direct = theta_series(variant, 42).evaluate(tau) / eta.evaluate(tau)
+            direct = theta_series(variant, 42).evaluate_many([tau])[0] / eta.evaluate_many([tau])[0]
             assert abs(values[i] - direct) < 1e-10
             view = X.component_expansion(i)
-            assert abs(view.evaluate(tau) - direct) < 1e-10
+            assert abs(view.evaluate_many([tau])[0] - direct) < 1e-10
 
     def test_zero_expansion_evaluates_to_zero(self):
         rep = builtin("trivial")
         X = VVAF(0, rep, [FracQSeries.zero()])
-        assert X.evaluate(1j)[0] == 0
+        assert X.evaluate_many([1j])[0, 0] == 0
 
     def test_log_term_evaluation(self):
         # (log q) * q at tau = i equals (2 pi i * i) * exp(-2 pi)
         from vvaf.qseries import LogQExpansion
 
         term = LogQExpansion({1: FracQSeries(1, 1, 1, [1.0])})
-        value = term.evaluate(1j)
+        value = term.evaluate_many([1j])[0]
         expected = (2j * math.pi * 1j) * math.exp(-2 * math.pi)
         assert abs(value - expected) < 1e-15
 
@@ -162,12 +183,11 @@ class TestEvaluation:
         for name in ("theta-eta", "eta4-theta-eta", "delta", "sym2-log"):
             X = builtin_form(name, 60)
             mat_t = X.rep.mat_t
-            for x in np.linspace(0.02, 0.9, 20):
-                tau = complex(x, 1.1)
-                lhs, tail1 = X.evaluate(tau + X.h, with_tail=True)
-                rhs_vec, tail2 = X.evaluate(tau, with_tail=True)
-                rhs = mat_t @ rhs_vec
-                assert np.linalg.norm(lhs - rhs) <= max(1e-10, 10 * (tail1 + tail2))
+            taus = np.linspace(0.02, 0.9, 20) + 1.1j
+            lhs, tail1 = X.evaluate_many(taus + X.h, with_tail=True)
+            rhs, tail2 = X.evaluate_many(taus, with_tail=True)
+            gaps = np.linalg.norm(lhs - rhs @ mat_t.T, axis=-1)
+            assert np.all(gaps <= np.maximum(1e-10, 10 * (tail1 + tail2)))
 
 
 def _term_scale(X, tau):
@@ -358,13 +378,9 @@ class TestSym2Fixture:
     def test_translation_consistency(self):
         S = sym2_log_form(30)
         rho_t = S.rep.mat_t
-        worst = 0.0
-        for x in np.linspace(0.0, 0.95, 20):
-            tau = complex(x, 1.2)
-            lhs = S.evaluate(tau + 1)
-            rhs = rho_t @ S.evaluate(tau)
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-        assert worst < 1e-12
+        taus = np.linspace(0.0, 0.95, 20) + 1.2j
+        gaps = np.linalg.norm(S.evaluate_many(taus + 1) - S.evaluate_many(taus) @ rho_t.T, axis=-1)
+        assert np.max(gaps) < 1e-12
 
     def test_flags(self):
         S = sym2_log_form(30)

@@ -10,7 +10,6 @@ from vvaf.lfunc import (
     completed_L,
     completed_dirichlet_L,
     dirichlet_L,
-    functional_equation_residual,
     functional_equation_sign,
 )
 from vvaf.qseries import FracQSeries, LogQExpansion
@@ -164,17 +163,16 @@ class TestCompleted:
 class TestFunctionalEquation:
     def test_delta_center_and_off_center(self):
         D = delta_form(400)
-        for s in (6, 7, 5):
-            assert functional_equation_residual(D, s, +1) < 1e-6
-            if s != 6:
-                assert functional_equation_residual(D, s, -1) > 1e-5
+        for row in functional_equation_sign(D, [6, 7, 5])["rows"]:
+            assert row["residual_plus"] < 1e-6
+            if row["s"] != 6:
+                assert row["residual_minus"] > 1e-5
 
     def test_eta4_sign_discrimination(self):
         Y = eta4_theta_eta_form(200)
-        plus = functional_equation_residual(Y, 1 + 2j, +1)
-        minus = functional_equation_residual(Y, 1 + 2j, -1)
-        assert plus < 1e-6
-        assert minus > 0.1
+        (row,) = functional_equation_sign(Y, [1 + 2j])["rows"]
+        assert row["residual_plus"] < 1e-6
+        assert row["residual_minus"] > 0.1
 
     def test_sign_scan_selects_plus(self):
         D = delta_form(400)
@@ -189,14 +187,7 @@ class TestFunctionalEquation:
     def test_unit_split_rejected(self):
         D = delta_form(200)
         with pytest.raises(ValueError):
-            functional_equation_residual(D, 7, +1, split=1.0)
-        with pytest.raises(ValueError):
             functional_equation_sign(D, [7], split=1.0)
-
-    def test_sign_must_be_unit(self):
-        D = delta_form(200)
-        with pytest.raises(ValueError):
-            functional_equation_residual(D, 7, 0)
 
 
 class TestLogarithmicVariant:

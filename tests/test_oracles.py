@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import pytest
 import sympy
 
-from vvaf.forms import delta_form, eta4_theta_eta_form
+from vvaf.forms import delta_form, eta4_theta_eta_form, theta_eta_form
 from vvaf.lfunc import completed_L
 from vvaf.moebius import GroupElement, gen_s, gen_t, identity, t_power, word_decompose
 from vvaf.representation import jordan_form
@@ -145,7 +146,7 @@ class TestMellinOracle:
                 reference = complex(
                     _mp_eta(tau) ** 3 * mpmath.jtheta(2, 0, mpmath.exp(1j * mpmath.pi * tau))
                 )
-                value = Y.evaluate(complex(0, y))[0]
+                value = Y.evaluate_many([complex(0, y)])[0, 0]
                 assert abs(value - reference) < 1e-12
 
 
@@ -167,6 +168,42 @@ class TestCoefficientOracle:
         coeffs = D.basis_coefficients(12)[:, 0]
         for n in range(1, 13):
             assert int(round(coeffs[n].real)) == tau_niebur(n)
+
+
+def _partitions(nmax: int) -> list:
+    """p(0..nmax) as Python ints, by Euler's pentagonal recurrence."""
+    p = [1] + [0] * nmax
+    for n in range(1, nmax + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if e <= n:
+                    p[n] += sign * p[n - e]
+            k += 1
+    return p
+
+
+class TestThetaEtaOracle:
+    @pytest.mark.xfail(
+        strict=True, reason="dividing by the eta series loses digits as N grows (3.8e-9 relative at N = 400)"
+    )
+    def test_basis_coefficients_against_partitions(self):
+        # theta2/eta at n + 1/12 is 2 sum_m p(n - m(m+1)/2), and
+        # (theta3 + theta4)/(sqrt 2 eta) at n - 1/24 is sqrt(1/2) (2 p(n) + 4 sum_k p(n - 2k^2))
+        nmax = 400
+        p = _partitions(nmax)
+
+        def shifted_sum(n, gaps):
+            return sum(p[n - gap] for gap in gaps if gap <= n)
+
+        triangular = [m * (m + 1) // 2 for m in range(nmax)]
+        twice_squares = [2 * k * k for k in range(1, nmax)]
+        comp0 = [2 * shifted_sum(n, triangular) for n in range(nmax + 1)]
+        comp1 = [2 * p[n] + 4 * shifted_sum(n, twice_squares) for n in range(nmax + 1)]
+        reference = np.column_stack([np.array(comp0, dtype=float), math.sqrt(0.5) * np.array(comp1, dtype=float)])
+        got = theta_eta_form(nmax).basis_coefficients(nmax)[:, :2]
+        assert np.max(np.abs(got - reference) / reference) < 1e-12
 
 
 class TestEichlerOracle:

@@ -49,23 +49,23 @@ class TestEta:
     def test_value_at_i_closed_form(self):
         eta = eta_series(60)
         reference = Gamma(0.25) / (2.0 * math.pi**0.75)
-        assert abs(eta.evaluate(1j) - reference) < 1e-12
+        assert abs(eta.evaluate_many([1j])[0] - reference) < 1e-12
 
     def test_against_mpmath(self):
         eta = eta_series(60)
         for tau in (0.3 + 0.9j, -0.4 + 1.7j, 2.2j):
-            assert abs(eta.evaluate(tau) - mp_eta(tau)) < 1e-12
+            assert abs(eta.evaluate_many([tau])[0] - mp_eta(tau)) < 1e-12
 
     def test_translation_phase(self):
         eta = eta_series(60)
         tau = 2j
-        ratio = eta.evaluate(tau + 1) / eta.evaluate(tau)
+        ratio = eta.evaluate_many([tau + 1])[0] / eta.evaluate_many([tau])[0]
         assert abs(ratio - np.exp(1j * np.pi / 12)) < 1e-12
 
     def test_eta_power_matches_mpmath(self):
         delta = eta_power_series(24, 40)
         tau = 0.1 + 1.1j
-        assert abs(delta.evaluate(tau) - mp_eta(tau) ** 24) < 1e-10
+        assert abs(delta.evaluate_many([tau])[0] - mp_eta(tau) ** 24) < 1e-10
 
 
 class TestTheta:
@@ -82,13 +82,13 @@ class TestTheta:
     def test_theta3_value_closed_form(self):
         t3 = theta_series(3, 60)
         reference = math.pi**0.25 / Gamma(0.75)
-        assert abs(t3.evaluate(1j) - reference) < 1e-12
+        assert abs(t3.evaluate_many([1j])[0] - reference) < 1e-12
 
     def test_all_variants_against_mpmath(self):
         for variant in (2, 3, 4):
             series = theta_series(variant, 60)
             for tau in (0.2 + 1.0j, 1.5j):
-                assert abs(series.evaluate(tau) - mp_theta(variant, tau)) < 1e-12
+                assert abs(series.evaluate_many([tau])[0] - mp_theta(variant, tau)) < 1e-12
 
 
 class TestCombine:
@@ -113,6 +113,40 @@ class TestCombine:
         back = eta * (t3 / eta)
         for e in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(9, 2)):
             assert abs(back.coefficient(e) - t3.coefficient(e)) < 1e-12
+
+    def test_mul_matches_dense_convolution(self):
+        # the stride-class product against np.convolve of the upsampled
+        # dense arrays; integer coefficients keep every sum exact, so any
+        # grouping of the terms gives the same bits
+        rng = np.random.default_rng(83)
+
+        def random_series(stride, D):
+            if stride == 0:  # a point mass
+                coeffs = [int(rng.integers(1, 9))]
+            else:
+                coeffs = np.zeros(stride * int(rng.integers(1, 40)) + 1)
+                coeffs[::stride] = rng.integers(-9, 10, size=len(coeffs[::stride]))
+                coeffs[0] = coeffs[-1] = 1
+            start = int(rng.integers(-30, 30))
+            # a truncation order, if any, keeps at least the first term
+            order = None
+            if rng.random() < 0.5:
+                order = Fraction(start + int(rng.integers(1, 2 * len(coeffs) + 1)), D)
+            return FracQSeries(1, D, start, coeffs, order=order)
+
+        def dense(f, D):
+            out = np.zeros((len(f.coeffs) - 1) * (D // f.D) + 1, dtype=complex)
+            out[:: D // f.D] = f.coeffs
+            return out
+
+        for _ in range(200):
+            f, g = (random_series(int(rng.choice([0, 1, 2, 3, 8])), int(rng.choice([1, 2, 3, 8, 24]))) for _ in "fg")
+            prod = f * g
+            D = math.lcm(f.D, g.D)
+            start = f.start * (D // f.D) + g.start * (D // g.D)
+            reference = FracQSeries(1, D, start, np.convolve(dense(f, D), dense(g, D)), order=prod.order)
+            assert (prod.D, prod.start, prod.stride) == (reference.D, reference.start, reference.stride)
+            assert np.array_equal(prod.coeffs, reference.coeffs)
 
     def test_mul_associative_commutative(self):
         rng = np.random.default_rng(71)
@@ -165,11 +199,12 @@ class TestEvaluation:
     def test_refuses_near_real_line(self):
         eta = eta_series(10)
         with pytest.raises(ValueError):
-            eta.evaluate(0.5 + 1e-6j)
+            eta.evaluate_many([0.5 + 1e-6j])
 
     def test_tail_bound_reported(self):
         eta = eta_series(10)
-        value, tail = eta.evaluate(0.2 + 0.9j, with_tail=True)
+        values, tails = eta.evaluate_many([0.2 + 0.9j], with_tail=True)
+        value, tail = values[0], tails[0]
         assert tail > 0
         reference = mp_eta(0.2 + 0.9j)
         # truncation is inside the tail bound; double rounding adds its own floor
@@ -184,8 +219,8 @@ class TestEvaluation:
 
     def test_exact_series_zero_tail(self):
         exact = FracQSeries(1, 2, 1, [1.0])
-        _, tail = exact.evaluate(1j, with_tail=True)
-        assert tail == 0.0
+        _, tails = exact.evaluate_many([1j], with_tail=True)
+        assert tails[0] == 0.0
 
 
 def _coefficients_on_offset_loop(series, offset, nmax):
@@ -354,7 +389,7 @@ class TestLogRecouple:
         base = LogQExpansion({0: FracQSeries(1, 3, 1, [1.0, 0.5])})
         out = log_recouple("forward", [base])
         tau = 0.2 + 1.2j
-        assert abs(out[0].evaluate(tau) - base.evaluate(tau)) < 1e-14
+        assert abs(out[0].evaluate_many([tau])[0] - base.evaluate_many([tau])[0]) < 1e-14
 
     def test_round_trip_jordan_two(self):
         # X0 = q^(1/3), X1 = (tau/h) q^(1/3) under the eigenvalue exp(2 pi i/3)
@@ -366,8 +401,8 @@ class TestLogRecouple:
         assert all(f.is_pure() for f in forward)
         back = log_recouple("backward", forward)
         for tau in (0.3 + 1.1j, -0.2 + 0.8j, 2.0j):
-            assert abs(back[0].evaluate(tau) - x0.evaluate(tau)) < 1e-12
-            assert abs(back[1].evaluate(tau) - x1.evaluate(tau)) < 1e-12
+            assert abs(back[0].evaluate_many([tau])[0] - x0.evaluate_many([tau])[0]) < 1e-12
+            assert abs(back[1].evaluate_many([tau])[0] - x1.evaluate_many([tau])[0]) < 1e-12
 
     def test_forward_produces_pure_series(self):
         base = FracQSeries(1, 3, 1, [1.0])
@@ -375,9 +410,9 @@ class TestLogRecouple:
         x0 = LogQExpansion({0: base})
         x1 = LogQExpansion({1: base * u_factor})
         h0, h1 = log_recouple("forward", [x0, x1])
-        assert abs(h0.evaluate(1j) - base.evaluate(1j)) < 1e-14
+        assert abs(h0.evaluate_many([1j])[0] - base.evaluate_many([1j])[0]) < 1e-14
         # the recoupled second component collapses to zero for this fixture
-        assert abs(h1.evaluate(1j)) < 1e-14
+        assert abs(h1.evaluate_many([1j])[0]) < 1e-14
 
     def test_block_action_consistency(self):
         # the fixture transforms by the loweredged block: check the phase law
@@ -387,8 +422,9 @@ class TestLogRecouple:
         x0 = LogQExpansion({0: base})
         x1 = LogQExpansion({1: base * u_factor})
         tau = 0.4 + 1.3j
-        assert abs(x0.evaluate(tau + 1) - lam * x0.evaluate(tau)) < 1e-12
-        assert abs(x1.evaluate(tau + 1) - lam * (x1.evaluate(tau) + x0.evaluate(tau))) < 1e-12
+        (v0, v1), (w0, w1) = (x.evaluate_many([tau, tau + 1]) for x in (x0, x1))
+        assert abs(v1 - lam * v0) < 1e-12
+        assert abs(w1 - lam * (w0 + v0)) < 1e-12
 
     def test_width_two_round_trip(self):
         # the width comes from the components: under tau -> tau + 2 the pure
@@ -402,12 +438,12 @@ class TestLogRecouple:
         assert [x.h for x in mixed] == [2, 2, 2]
         tau = 0.4 + 1.3j
         for i in (1, 2):
-            shifted = mixed[i].evaluate(tau + 2)
-            assert abs(shifted - lam * (mixed[i].evaluate(tau) + mixed[i - 1].evaluate(tau))) < 1e-12
+            shifted = mixed[i].evaluate_many([tau + 2])[0]
+            assert abs(shifted - lam * (mixed[i].evaluate_many([tau])[0] + mixed[i - 1].evaluate_many([tau])[0])) < 1e-12
         back = log_recouple("forward", mixed)
         for tau in (0.3 + 1.1j, -0.2 + 0.8j, 2.0j):
             for x, y in zip(back, pure):
-                assert abs(x.evaluate(tau) - y.evaluate(tau)) < 1e-12
+                assert abs(x.evaluate_many([tau])[0] - y.evaluate_many([tau])[0]) < 1e-12
 
     def test_mixed_widths_rejected(self):
         x0 = LogQExpansion({0: FracQSeries(1, 3, 1, [1.0])})
