@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable
 
 __all__ = [
     "INF",
@@ -291,22 +291,32 @@ def _xgcd(a: int, b: int) -> tuple:
 
 @dataclass(frozen=True)
 class SubgroupDescriptor:
-    """A finite-index subgroup given by a membership predicate.
+    """A finite-index subgroup H given by its right-coset label.
 
-    ``contains`` accepts a GroupElement; ``index`` bounds the
-    index in PSL2(Z) and also bounds all coset searches.
+    ``coset(g)`` returns a hashable label of the right coset H g: two
+    elements get the same label exactly when they lie in the same right
+    coset; membership, transversals, cusp widths and induction all read it.
+    The left coset g H is labelled ``coset(g.inverse())``.  ``index`` is
+    the exact index in PSL2(Z).
     """
 
     name: str
-    contains: Callable
+    coset: Callable
     index: int
+    _identity_label: Hashable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_identity_label", self.coset(identity()))
 
     def __repr__(self):
         return f"SubgroupDescriptor({self.name}, index={self.index})"
 
+    def contains(self, g: GroupElement) -> bool:
+        return self.coset(g) == self._identity_label
+
 
 def psl2z() -> SubgroupDescriptor:
-    return SubgroupDescriptor("PSL2Z", lambda g: True, 1)
+    return SubgroupDescriptor("PSL2Z", lambda g: 0, 1)
 
 
 def _prime_factors(n: int) -> list:
@@ -323,62 +333,76 @@ def _prime_factors(n: int) -> list:
     return out
 
 
+def _level(n) -> int:
+    if not hasattr(n, "__index__") or operator.index(n) < 1:
+        raise ValueError(f"level must be a positive integer, got {n!r}")
+    return operator.index(n)
+
+
 def gamma_n(n: int) -> SubgroupDescriptor:
-    """Principal congruence subgroup: g == +-I mod n."""
-    if n < 1:
-        raise ValueError("level must be positive")
+    """Principal congruence subgroup: g == +-I mod n; H g is labelled by g mod n up to sign."""
+    n = _level(n)
     if n == 1:
         return psl2z()
 
-    def contains(g: GroupElement) -> bool:
+    def coset(g: GroupElement) -> tuple:
         a, b, c, d = g.entries()
-        for sign in (1, -1):
-            if (
-                (sign * a - 1) % n == 0
-                and (sign * b) % n == 0
-                and (sign * c) % n == 0
-                and (sign * d - 1) % n == 0
-            ):
-                return True
-        return False
+        return min((a % n, b % n, c % n, d % n), (-a % n, -b % n, -c % n, -d % n))
 
     index = n**3
     for p in _prime_factors(n):
         index = index // (p * p) * (p * p - 1)
     if n > 2:
         index //= 2
-    return SubgroupDescriptor(f"Gamma({n})", contains, index)
+    return SubgroupDescriptor(f"Gamma({n})", coset, index)
 
 
 def gamma0_n(n: int) -> SubgroupDescriptor:
-    """Hecke congruence subgroup: lower-left entry divisible by n."""
-    if n < 1:
-        raise ValueError("level must be positive")
+    """Hecke congruence subgroup: lower-left entry divisible by n.
+
+    H g is labelled by its bottom row (c : d) in P^1(Z/n), the Manin symbol:
+    (c / d mod n, 1) for a unit d, otherwise the least unit multiple.
+    """
+    n = _level(n)
     if n == 1:
         return psl2z()
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
 
-    def contains(g: GroupElement) -> bool:
-        return g.c % n == 0
+    def coset(g: GroupElement) -> tuple:
+        if math.gcd(g.d, n) == 1:
+            return (g.c * pow(g.d, -1, n) % n, 1)
+        return min((u * g.c % n, u * g.d % n) for u in units)
 
     index = n
     for p in _prime_factors(n):
         index = index // p * (p + 1)
-    return SubgroupDescriptor(f"Gamma0({n})", contains, index)
+    return SubgroupDescriptor(f"Gamma0({n})", coset, index)
+
+
+def _translation_orbit(group: SubgroupDescriptor, g: GroupElement) -> list:
+    """Labels of the right cosets H g t^j, j = 0, 1, ..., until the orbit closes.
+
+    Its length is the width of the cusp g(INF); an orbit longer than the
+    index signals an inconsistent descriptor and raises.
+    """
+    t = gen_t()
+    orbit = [group.coset(g)]
+    current = g * t
+    while (label := group.coset(current)) != orbit[0]:
+        if len(orbit) == group.index:
+            raise ValueError(f"translation orbit of {g.entries()} is longer than the index {group.index}")
+        orbit.append(label)
+        current = current * t
+    return orbit
 
 
 def cusp_width(group: SubgroupDescriptor, cusp) -> int:
     """Smallest h > 0 whose translation stabilizes the cusp inside the group.
 
-    Uses an integral scaling matrix for finite cusps, so widths agree with
-    the usual congruence-subgroup tables.  Raises if no width at most the
-    index bound exists, which signals an inconsistent descriptor.
+    Uses an integral scaling matrix sigma for finite cusps, so widths agree
+    with the usual congruence-subgroup tables; h is the orbit length of H sigma.
     """
-    sigma = integral_scaling_matrix(cusp)
-    sigma_inv = sigma.inverse()
-    for h in range(1, group.index + 1):
-        if group.contains(sigma * t_power(h) * sigma_inv):
-            return h
-    raise ValueError(f"no cusp width <= index bound {group.index} found for cusp {cusp}")
+    return len(_translation_orbit(group, integral_scaling_matrix(cusp)))
 
 
 def eichler_shift(g: GroupElement, h: int = 1) -> tuple:
@@ -412,11 +436,12 @@ def _transversal(group: SubgroupDescriptor, side: str) -> list:
     ``side`` 'left' gives g_i with PSL2(Z) the disjoint union of g_i H,
     'right' gives the union of H g_i.  The group acts on left cosets by
     left multiplication and on right cosets by right multiplication, so
-    candidates are gen * r and r * gen respectively.  The first
-    representative is the identity.
+    candidates are gen * r and r * gen respectively; a candidate is kept
+    when its coset label is new.  The first representative is the identity.
     """
     left = side == "left"
     reps = [identity()]
+    seen = {group.coset(identity())}
     frontier = [identity()]
     gens = (gen_s(), gen_t(), gen_t().inverse())
     while frontier and len(reps) < group.index:
@@ -424,7 +449,9 @@ def _transversal(group: SubgroupDescriptor, side: str) -> list:
         for r in frontier:
             for gen in gens:
                 cand = gen * r if left else r * gen
-                if not any(group.contains(k.inverse() * cand if left else cand * k.inverse()) for k in reps):
+                label = group.coset(cand.inverse() if left else cand)
+                if label not in seen:
+                    seen.add(label)
                     reps.append(cand)
                     nxt.append(cand)
         frontier = nxt
@@ -434,10 +461,7 @@ def _transversal(group: SubgroupDescriptor, side: str) -> list:
 
 
 def left_transversal(group: SubgroupDescriptor) -> list:
-    """Coset representatives g_i with PSL2(Z) the disjoint union of g_i H.
-
-    The first representative is the identity.
-    """
+    """Coset representatives g_i, the identity first, with PSL2(Z) the disjoint union of g_i H."""
     return _transversal(group, "left")
 
 
@@ -449,29 +473,15 @@ def cusp_classes(group: SubgroupDescriptor) -> list:
     orbit length is the width and the conjugated translation generates the
     stabilizer of the representative cusp.
     """
-    reps = _transversal(group, "right")
-
-    def same_right_coset(x: GroupElement, y: GroupElement) -> bool:
-        return group.contains(x * y.inverse())
-
-    t = gen_t()
-    unseen = list(range(len(reps)))
+    seen = set()
     classes = []
-    while unseen:
-        i0 = unseen[0]
-        orbit = [i0]
-        current = reps[i0] * t
-        while not same_right_coset(current, reps[i0]):
-            idx = next(j for j in unseen if same_right_coset(current, reps[j]))
-            orbit.append(idx)
-            current = current * t
-        for j in orbit:
-            unseen.remove(j)
+    for g in _transversal(group, "right"):
+        if group.coset(g) in seen:
+            continue
+        orbit = _translation_orbit(group, g)
+        seen.update(orbit)
         width = len(orbit)
-        g = reps[i0]
-        cusp = apply_moebius(g, INF)
-        if cusp != INF:
-            cusp = Fraction(g.a, g.c)
+        cusp = INF if g.c == 0 else Fraction(g.a, g.c)
         generator = g * t_power(width) * g.inverse()
         classes.append((cusp, width, generator))
     return classes

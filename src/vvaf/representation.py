@@ -3,8 +3,8 @@
 A representation is specified by the images of the generators s and t;
 arbitrary elements are evaluated by multiplying generator images along the
 Euclidean word decomposition.  Subgroup representations reuse the same
-generator-image data restricted to the subgroup via its membership
-predicate (all built-in subgroup cases arise as restrictions).
+generator-image data restricted to the subgroup, whose descriptor labels
+right cosets (all built-in subgroup cases arise as restrictions).
 
 Representations are immutable after construction and evaluation is pure,
 so everything is safe for concurrent use.
@@ -284,12 +284,6 @@ def is_admissible(rho: Representation) -> bool:
     return all(size == 1 for _, size in data.blocks)
 
 
-def _parabolic_generators(rho: Representation) -> list:
-    if rho.group.index == 1:
-        return [gen_t()]
-    return [generator for _, _, generator in moebius.cusp_classes(rho.group)]
-
-
 def is_polynomial_growth(rho: Representation) -> bool:
     """True iff every parabolic image has only unitary eigenvalues, to within 1e-8.
 
@@ -297,7 +291,7 @@ def is_polynomial_growth(rho: Representation) -> bool:
     subgroup the conjugated stabilizer generator of each cusp class is
     checked.
     """
-    for generator in _parabolic_generators(rho):
+    for _, _, generator in moebius.cusp_classes(rho.group):
         eigs = np.linalg.eigvals(rho.evaluate(generator))
         if np.any(np.abs(np.abs(eigs) - 1.0) > _UNIT_CIRCLE_TOL):
             return False
@@ -333,22 +327,21 @@ def induced_image(rho: Representation, reps: list, x: GroupElement) -> np.ndarra
 
     Block (i, j) is the image of reps[i]^-1 * x * reps[j] when that element
     lies in the subgroup and zero otherwise; exactly one block per row and
-    per column is nonzero.
+    per column is nonzero, in the row whose left coset holds x * reps[j].
     """
-    d = len(reps)
     m = rho.m
-    out = np.zeros((d * m, d * m), dtype=complex)
-    membership = rho.group.contains
-    for i in range(d):
-        hits = 0
-        left = reps[i].inverse() * x
-        for j in range(d):
-            candidate = left * reps[j]
-            if membership(candidate):
-                out[i * m : (i + 1) * m, j * m : (j + 1) * m] = rho.evaluate(candidate)
-                hits += 1
-        if hits != 1:
-            raise ValueError(f"row {i} has {hits} nonzero blocks; transversal is invalid")
+    out = np.zeros((len(reps) * m, len(reps) * m), dtype=complex)
+    rows = {}  # left-coset label -> position
+    for j, rj in enumerate(reps):
+        i = rows.setdefault(rho.group.coset(rj.inverse()), j)
+        if i != j:
+            raise ValueError(f"representatives {i} and {j} lie in the same coset")
+    for j, rj in enumerate(reps):
+        xr = x * rj
+        i = rows.get(rho.group.coset(xr.inverse()))
+        if i is None:
+            raise ValueError(f"column {j} has no nonzero block; transversal is invalid")
+        out[i * m : (i + 1) * m, j * m : (j + 1) * m] = rho.evaluate(reps[i].inverse() * xr)
     return out
 
 
@@ -356,18 +349,14 @@ def induce(rho: Representation, reps: list) -> Representation:
     """Induced representation of the full group from a subgroup.
 
     ``reps`` must be a full left transversal starting with the identity;
-    this is checked pairwise through the membership predicate, and the
+    distinct cosets are checked through the coset labels, and the
     homomorphism property of the block formula is spot-checked on a few
     products before the result is returned.
     """
-    if reps[0] != moebius.identity():
-        raise ValueError("first coset representative must be the identity")
     if len(reps) != rho.group.index:
         raise ValueError(f"expected {rho.group.index} coset representatives, got {len(reps)}")
-    for i, gi in enumerate(reps):
-        for j, gj in enumerate(reps):
-            if i != j and rho.group.contains(gi.inverse() * gj):
-                raise ValueError(f"representatives {i} and {j} lie in the same coset")
+    if reps[0] != moebius.identity():
+        raise ValueError("first coset representative must be the identity")
     mat_s = induced_image(rho, reps, gen_s())
     mat_t = induced_image(rho, reps, gen_t())
     s, t = gen_s(), gen_t()

@@ -313,8 +313,77 @@ class TestTransversals:
                 if i != j:
                     assert not group.contains(gi.inverse() * gj)
 
+    def test_non_integer_level_refused(self):
+        for make in (gamma_n, gamma0_n):
+            for level in (2.5, "7", 0, -3, None):
+                with pytest.raises(ValueError, match="level must be a positive integer, got"):
+                    make(level)
+        assert gamma0_n(np.int64(7)).name == "Gamma0(7)"
+
     def test_index_values(self):
         assert gamma_n(2).index == 6
         assert gamma_n(3).index == 12
         assert gamma0_n(2).index == 3
         assert gamma0_n(4).index == 6
+
+
+def _in_gamma_ref(n, g):
+    """The reference predicate for Gamma(n): g == +-I mod n."""
+    return any(
+        all((x - y) % n == 0 for x, y in zip(g.entries(), (sign, 0, 0, sign))) for sign in (1, -1)
+    )
+
+
+def _in_gamma0_ref(n, g):
+    """The reference predicate for Gamma0(n): lower-left entry divisible by n."""
+    return g.c % n == 0
+
+
+def _euler_phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+class TestCosetLabels:
+    @pytest.mark.parametrize(
+        "make, reference, level",
+        [pytest.param(gamma_n, _in_gamma_ref, n, id=f"Gamma({n})") for n in range(2, 8)]
+        + [pytest.param(gamma0_n, _in_gamma0_ref, n, id=f"Gamma0({n})") for n in range(2, 41)],
+    )
+    def test_label_matches_reference_predicate(self, make, reference, level):
+        # coset(g) == coset(h) exactly when g h^-1 is in the group; the pool
+        # holds k g for subgroup elements k, so both answers occur
+        group = make(level)
+        rng = np.random.default_rng(level)
+        base = [random_element(rng, entry_bound=60) for _ in range(24)]
+        stabilizer = gen_s() * t_power(level) * gen_s().inverse()
+        pool = base + [t_power(level) * g for g in base[:6]] + [stabilizer * g for g in base[6:12]]
+        same = 0
+        for g in pool:
+            for h in pool:
+                expected = reference(level, g * h.inverse())
+                assert (group.coset(g) == group.coset(h)) == expected
+                same += expected
+            assert group.contains(g) == reference(level, g)
+        assert same > len(pool)
+
+    def test_gamma0_cusp_counts(self):
+        for level in range(2, 41):
+            group = gamma0_n(level)
+            classes = cusp_classes(group)
+            divisors = [d for d in range(1, level + 1) if level % d == 0]
+            assert len(classes) == sum(_euler_phi(math.gcd(d, level // d)) for d in divisors)
+            assert sum(width for _, width, _ in classes) == group.index
+
+    def test_gamma_cusp_counts(self):
+        for level in range(2, 8):
+            group = gamma_n(level)
+            classes = cusp_classes(group)
+            assert len(classes) == (3 if level == 2 else group.index // level)
+            assert sum(width for _, width, _ in classes) == group.index
+
+    def test_cusp_width_matches_class_width(self):
+        groups = [gamma_n(n) for n in range(2, 8)] + [gamma0_n(n) for n in (4, 12, 25, 36)]
+        for group in groups:
+            for cusp, width, generator in cusp_classes(group):
+                assert cusp_width(group, cusp) == width
+                assert group.contains(generator)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from vvaf.moebius import (
     GroupElement,
+    cusp_classes,
     gamma0_n,
     gamma_n,
     gen_s,
@@ -319,10 +321,34 @@ class TestInduce:
         reps = left_transversal(group)
         with pytest.raises(ValueError):
             induce(rho, reps[:3])
-        bad = [reps[0], reps[1] * t_power(2)] + reps[2:]  # duplicate coset
-        bad[1] = reps[1] * t_power(2) * reps[1].inverse() * reps[1]  # same coset as reps[1]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="representatives 1 and 2 lie in the same coset"):
             induce(rho, [reps[0], reps[1], reps[1] * t_power(2)] + reps[3:])
+
+    def test_empty_transversal_rejected(self):
+        rho = builtin("trivial", group=gamma_n(2))
+        with pytest.raises(ValueError, match="expected 6 coset representatives, got 0"):
+            induce(rho, [])
+
+    @pytest.mark.parametrize("group", [gamma0_n(101), gamma_n(5), gamma0_n(36)], ids=lambda group: group.name)
+    def test_coset_work_linear_in_index(self, group):
+        # a pairwise coset search would make about index^2 label calls
+        calls = [0]
+
+        def coset(g):
+            calls[0] += 1
+            return group.coset(g)
+
+        counted = dataclasses.replace(group, coset=coset)
+        calls[0] = 0
+        reps = left_transversal(counted)
+        assert calls[0] <= 3 * group.index + 1
+        calls[0] = 0
+        cusp_classes(counted)
+        assert calls[0] <= 6 * group.index
+        rho = builtin("trivial", group=counted)
+        calls[0] = 0
+        induce(rho, reps)
+        assert calls[0] <= 60 * group.index
 
 
 class TestGrowthExponent:
