@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +46,8 @@ _FORMATS = ("json", "csv")
 class RunConfig:
     """Precision and output knobs shared by every subcommand.
 
-    Every field has a documented default; configs round-trip unchanged
-    through the key=value text format.
+    Every field has a documented default.  ``--config`` reads a config
+    from key=value text, one field per line; nothing writes one.
     """
 
     n_terms: int = 200  # series truncation order
@@ -60,10 +60,6 @@ class RunConfig:
     def __post_init__(self):
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}")
-
-    def to_text(self) -> str:
-        lines = [f"{field.name} = {getattr(self, field.name)}" for field in fields(self)]
-        return "\n".join(lines) + "\n"
 
     @staticmethod
     def from_text(text: str) -> "RunConfig":

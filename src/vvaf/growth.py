@@ -12,23 +12,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vvaf.forms import VVAF, check_transformation
-from vvaf.moebius import gen_s, gen_t
+from vvaf.forms import VVAF
 
 __all__ = [
     "GrowthReport",
     "coefficient_norms",
     "coefficient_growth_report",
     "supnorm_scan",
-    "converse_growth_check",
-    "vanishing_check",
     "mean_square",
 ]
 
 SLOPE_MARGIN = 0.15
 RATIO_DRIFT_FACTOR = 10.0
 MEANSQ_MARGIN = 0.3
-VANISHING_TOL = 1e-8
+SUPNORM_GRID = 40  # points per axis of the sup-norm scan
 
 
 @dataclass(frozen=True)
@@ -114,19 +111,19 @@ def coefficient_growth_report(X: VVAF, nmax: int, alpha: float, log_extra: bool 
     )
 
 
-def supnorm_scan(X: VVAF, exponent: float, nx: int = 40, ny: int = 40) -> dict:
-    """Scan y^e times the vector norm over a strip grid.
+def supnorm_scan(X: VVAF, exponent: float) -> dict:
+    """Scan y^e times the vector norm over a 40 by 40 strip grid.
 
-    The strip covers one translation period and geometrically spaced
-    heights from 0.05 to 10, inside the evaluation-safe region.  PASS
-    means the weighted norm near the real line stays within a factor 10
-    of its size at unit height and above, which is the finite proxy for
-    boundedness.
+    The strip covers one translation period at 40 equally spaced points
+    and 40 geometrically spaced heights from 0.05 to 10, inside the
+    evaluation-safe region.  PASS means the weighted norm near the real
+    line stays within a factor 10 of its size at unit height and above,
+    which is the finite proxy for boundedness.
     """
-    xs = np.linspace(0.0, X.h, nx, endpoint=False)
-    ys = np.geomspace(0.05, 10.0, ny)
+    xs = np.linspace(0.0, X.h, SUPNORM_GRID, endpoint=False)
+    ys = np.geomspace(0.05, 10.0, SUPNORM_GRID)
     norms = np.linalg.norm(X.evaluate_many((xs + 1j * ys[:, None]).ravel()), axis=-1)
-    weighted = ys[:, None] ** exponent * norms.reshape(ny, nx)
+    weighted = ys[:, None] ** exponent * norms.reshape(SUPNORM_GRID, SUPNORM_GRID)
     below = ys < 1.0
     low = float(np.max(weighted[below], initial=0.0))
     high = float(np.max(weighted[~below], initial=0.0))
@@ -139,92 +136,6 @@ def supnorm_scan(X: VVAF, exponent: float, nx: int = 40, ny: int = 40) -> dict:
         "exponent": exponent,
         "verdict": verdict,
     }
-
-
-def converse_growth_check(
-    X,
-    rep,
-    k: int,
-    zeta: float,
-    gammas,
-    strip_samples=None,
-    blocks=None,
-    fe_check_taus=None,
-) -> dict:
-    """Check the converse direction: decay of X forces growth of the images.
-
-    First verifies the functional equation on samples, then the decay
-    hypothesis norm(X(x+iy)) <= C y^-zeta on the strip, and finally fits
-    the constant of norm(rho(gamma)) <= C norm(gamma)^(2 zeta - k) on the ten
-    percent of samples with smallest norm, counting violations beyond 3C.
-    ``blocks`` restricts the norm to index ranges for block-diagonal
-    images; the report carries one entry per block.
-    """
-    if fe_check_taus is not None:
-        # the generators suffice: they generate the whole group
-        fe_residual = max(
-            check_transformation(X, gamma, fe_check_taus) for gamma in (gen_s(), gen_t())
-        )
-        if fe_residual > 1e-6:
-            raise ValueError(f"functional equation fails before the growth check: {fe_residual:.2e}")
-    else:
-        fe_residual = float("nan")
-
-    hypothesis_constant = 0.0
-    if strip_samples is not None:
-        taus = np.asarray(strip_samples, dtype=complex)
-        values = np.linalg.norm(X.evaluate_many(taus), axis=-1)
-        envelope = taus.imag ** (-zeta)
-        hypothesis_constant = float(np.max(values / envelope, initial=0.0))
-
-    if blocks is None:
-        blocks = [range(0, rep.m)]
-    exponent = 2.0 * zeta - k
-    per_block = []
-    for block in blocks:
-        idx = np.asarray(list(block))
-        entries = []
-        for gamma in gammas:
-            image = rep.evaluate(gamma)
-            sub = image[np.ix_(idx, idx)]
-            entries.append((gamma.norm(), float(np.linalg.norm(sub))))
-        entries.sort(key=lambda pair: pair[0])
-        n_fit = max(1, len(entries) // 10)
-        C = max(rn / gn**exponent for gn, rn in entries[:n_fit])
-        violations = [(gn, rn) for gn, rn in entries if rn > 3.0 * C * gn**exponent + 1e-12]
-        per_block.append(
-            {
-                "block": [int(i) for i in idx],
-                "fitted_constant": C,
-                "violations": len(violations),
-                "passed": len(violations) == 0,
-            }
-        )
-    return {
-        "fe_residual": fe_residual,
-        "hypothesis_constant": hypothesis_constant,
-        "exponent": exponent,
-        "blocks": per_block,
-        "any_block_passes": any(entry["passed"] for entry in per_block),
-    }
-
-
-def vanishing_check(k: int, alpha: float, candidate: VVAF | None = None) -> dict:
-    """Consistency gate for the negative-weight vanishing criterion.
-
-    Active only when k + 2 alpha < 0; then any supplied holomorphic
-    candidate must have norm below 1e-8 on an 18-point grid in the strip
-    0 < x < 1, at heights 0.4, 1 and 2.5.
-    """
-    active = (k + 2.0 * alpha) < 0.0
-    result = {"active": active, "k_plus_2alpha": k + 2.0 * alpha, "consistent": True, "max_norm": 0.0}
-    if not active or candidate is None:
-        return result
-    grid = [complex(x, y) for x in np.linspace(0.05, 0.95, 6) for y in (0.4, 1.0, 2.5)]
-    max_norm = float(np.max(np.linalg.norm(candidate.evaluate_many(grid), axis=-1)))
-    result["max_norm"] = max_norm
-    result["consistent"] = max_norm < VANISHING_TOL
-    return result
 
 
 def mean_square(X: VVAF, nmax: int, alpha: float = 0.0) -> dict:

@@ -45,6 +45,10 @@ __all__ = [
 # refinement, whose difference is the reported error
 _RULE = (24, 24)
 _REFINED_RULE = (32, 32)
+# the sign scan's split point; at a split of exactly 1 the two sides of the
+# functional equation agree identically by construction, so the comparison
+# would test nothing
+_FE_SPLIT = 1.3
 
 
 @dataclass(frozen=True)
@@ -252,35 +256,31 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
     return LValue(s=s, value=refined, method="split-mellin", error=error, rigorous=False)
 
 
-def _fe_residuals(X: VVAF, s: complex, split: float) -> tuple:
+def _fe_residuals(X: VVAF, s: complex) -> tuple:
     """Norms of rho(S) Lambda(s) -/+ (h i)^-k h^(2k-2s) Lambda(k-s), as (plus, minus).
 
-    Both completed values are computed with the same non-unit split; at
-    split exactly 1 the two sides would agree identically by construction
-    and the comparison would test nothing, so 1 is rejected.
+    Both completed values are computed at the same split, ``_FE_SPLIT``.
     """
-    if abs(split - 1.0) < 1e-6:
-        raise ValueError("a split of 1 makes the residual vanish identically; use another split")
     s = complex(s)
     h = X.h
     rho_S = X.rep.evaluate(gen_s())
-    left = rho_S @ completed_L(X, s, split=split).value
-    right = completed_L(X, X.k - s, split=split).value
+    left = rho_S @ completed_L(X, s, split=_FE_SPLIT).value
+    right = completed_L(X, X.k - s, split=_FE_SPLIT).value
     factor = (h * 1j) ** (-X.k) * complex(h) ** (2.0 * X.k - 2.0 * s)
     plus = float(np.linalg.norm(left - factor * right))
     minus = float(np.linalg.norm(left + factor * right))
     return plus, minus
 
 
-def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6, split: float = 1.3) -> dict:
+def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6) -> dict:
     """Evaluate both signs over a grid and report which one vanishes.
 
-    The split must differ from 1, where both residuals would be empty
-    comparisons.
+    Both completed values are split at 1.3, not 1, where both residuals
+    would be empty comparisons.
     """
     rows = []
     for s in s_grid:
-        plus, minus = _fe_residuals(X, s, split)
+        plus, minus = _fe_residuals(X, s)
         rows.append({"s": complex(s), "residual_plus": plus, "residual_minus": minus})
     plus_ok = all(row["residual_plus"] < tol for row in rows)
     minus_ok = all(row["residual_minus"] < tol for row in rows)

@@ -494,6 +494,8 @@ def random_element(rng, entry_bound: int = 10**6) -> GroupElement:
     completion is shifted by a random multiple of the bottom row while the
     top row stays inside the bound.
     """
+    if entry_bound < 1:
+        raise ValueError(f"entry_bound must be at least 1, got {entry_bound}")
     while True:
         c = int(rng.integers(-entry_bound, entry_bound + 1))
         d = int(rng.integers(-entry_bound, entry_bound + 1))

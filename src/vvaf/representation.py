@@ -304,6 +304,8 @@ def parabolic_power_norms(rho: Representation, nmax: int = 200) -> dict:
     Returns the norm sequence, the log-log slope fitted over the upper
     half of the range, and the exponential rate log norm(t^n)/n at nmax.
     """
+    if nmax < 1:
+        raise ValueError(f"nmax must be at least 1, got {nmax}")
     norms = np.empty(nmax)
     power = np.eye(rho.m, dtype=complex)
     for n in range(1, nmax + 1):
@@ -376,6 +378,10 @@ def induce(rho: Representation, reps: list) -> Representation:
 class SamplerConfig:
     seed: int = 0
     n_samples: int = 400
+
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
 
 
 @dataclass(frozen=True)
@@ -471,6 +477,8 @@ def _theta_eta() -> Representation:
 
 def _nonpoly(a: complex = 1j) -> Representation:
     a = complex(a)
+    if a == 0:
+        raise ValueError("a must be nonzero: the eigenvalues of t differ by -1/a")
     if abs(a.real) > 1e-12:
         warnings.warn(
             "the non-unitarity argument needs purely imaginary a; "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -55,15 +56,17 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
 
 class TestRunConfig:
     def test_round_trip(self):
-        config = RunConfig(n_terms=123, tolerance=1e-9, seed=7, out_dir="/tmp/x", format="csv", alpha=0.5)
-        back = RunConfig.from_text(config.to_text())
-        assert back == config
+        text = "n_terms = 123\ntolerance = 1e-09\nseed = 7\nout_dir = runs/x\nformat = csv\nalpha = 0.5\n"
+        expected = RunConfig(n_terms=123, tolerance=1e-9, seed=7, out_dir="runs/x", format="csv", alpha=0.5)
+        assert RunConfig.from_text(text) == expected
 
     def test_defaults_documented(self):
-        config = RunConfig()
-        text = config.to_text()
-        for key in ("n_terms", "tolerance", "seed", "out_dir", "format", "alpha"):
-            assert key in text
+        # every field is a config key, and each default parses back to itself
+        keys = ("n_terms", "tolerance", "seed", "out_dir", "format", "alpha")
+        assert tuple(field.name for field in fields(RunConfig)) == keys
+        defaults = RunConfig()
+        for key in keys:
+            assert RunConfig.from_text(f"{key} = {getattr(defaults, key)}\n") == defaults
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -129,6 +132,13 @@ class TestSubcommands:
         argv = ["--out-dir", str(tmp_path), "repr", "check", "--builtin", "trivial", "--param", "group=2"]
         assert run(argv) == 2
         assert "group must be a SubgroupDescriptor, got (2+0j)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["check", "growth"])
+    def test_repr_nonpoly_refuses_zero_a(self, tmp_path, capsys, command):
+        argv = ["--out-dir", str(tmp_path), "repr", command, "--builtin", "nonpoly", "--param", "a=0"]
+        assert run(argv) == 2
+        assert "a must be nonzero" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_repr_growth_nonpoly(self, tmp_path):
@@ -257,7 +267,7 @@ class TestSubcommands:
 
     def test_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text(RunConfig(n_terms=80, out_dir=str(tmp_path), seed=3).to_text())
+        config.write_text(f"n_terms = 80\nout_dir = {tmp_path}\nseed = 3\n")
         code = run(["--config", str(config), "repr", "check", "--builtin", "sym2"])
         assert code == 0
         payload = json.loads(read(tmp_path / "repr_check_sym2.json"))

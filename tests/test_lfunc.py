@@ -184,11 +184,6 @@ class TestFunctionalEquation:
         result = functional_equation_sign(Y, grid)
         assert result["selected_sign"] == 1
 
-    def test_unit_split_rejected(self):
-        D = delta_form(200)
-        with pytest.raises(ValueError):
-            functional_equation_sign(D, [7], split=1.0)
-
 
 class TestLogarithmicVariant:
     def test_gamma_shifted_terms_match_quadrature(self):

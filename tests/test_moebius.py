@@ -178,6 +178,12 @@ class TestWordDecompose:
         with pytest.raises(ValueError, match=r"entries must be integers, got a=Fraction\(1, 2\)$"):
             word_decompose(GroupElement(Fraction(1, 2), -1, 1, 0))
 
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_random_element_refuses_bound_below_one(self, bound):
+        # a bound of 0 leaves only the bottom row (0, 0), which no element has
+        with pytest.raises(ValueError, match=f"entry_bound must be at least 1, got {bound}"):
+            random_element(np.random.default_rng(0), entry_bound=bound)
+
     def test_random_reconstruction(self):
         rng = np.random.default_rng(17)
         for _ in range(300):
@@ -343,6 +349,21 @@ def _euler_phi(n):
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def _riemann_hurwitz(group):
+    """(e2, e3, c, genus) of the modular curve of ``group``, from its coset labels.
+
+    e2 and e3 count the right cosets fixed by s and by s t, c counts the
+    cusp classes, and g = 1 + index/12 - e2/4 - e3/3 - c/2.
+    """
+    s, t = gen_s(), gen_t()
+    rights = [g.inverse() for g in left_transversal(group)]
+    e2 = sum(group.coset(r * s) == group.coset(r) for r in rights)
+    e3 = sum(group.coset(r * s * t) == group.coset(r) for r in rights)
+    c = len(cusp_classes(group))
+    genus = 1 + Fraction(group.index, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(c, 2)
+    return e2, e3, c, genus
+
+
 class TestCosetLabels:
     @pytest.mark.parametrize(
         "make, reference, level",
@@ -380,6 +401,26 @@ class TestCosetLabels:
             classes = cusp_classes(group)
             assert len(classes) == (3 if level == 2 else group.index // level)
             assert sum(width for _, width, _ in classes) == group.index
+
+    @pytest.mark.parametrize(
+        "make, level, genus",
+        [
+            pytest.param(make, n, g, id=f"{curve}({n})")
+            for make, curve, genera in (
+                (gamma0_n, "X0", {2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 25: 0, 11: 1, 36: 1, 23: 2, 101: 8}),
+                (gamma_n, "X", {2: 0, 3: 0, 4: 0, 5: 0, 6: 1, 7: 3}),
+            )
+            for n, g in genera.items()
+        ],
+    )
+    def test_genus_by_riemann_hurwitz(self, make, level, genus):
+        assert _riemann_hurwitz(make(level))[3] == genus
+
+    def test_elliptic_point_counts(self):
+        # e2 = 1 + (-1/p) and e3 = 1 + (-3/p) for a prime level p
+        assert _riemann_hurwitz(gamma0_n(5))[0] == 2
+        assert _riemann_hurwitz(gamma0_n(101))[0] == 2
+        assert _riemann_hurwitz(gamma0_n(7))[1] == 2
 
     def test_cusp_width_matches_class_width(self):
         groups = [gamma_n(n) for n in range(2, 8)] + [gamma0_n(n) for n in (4, 12, 25, 36)]

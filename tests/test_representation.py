@@ -241,6 +241,11 @@ class TestStructure:
         out = parabolic_power_norms(builtin("sym2"), nmax=200)
         assert out["loglog_slope"] <= 2.1  # dimension 3, slope bound m - 1 + 0.1
 
+    @pytest.mark.parametrize("nmax", [0, -3])
+    def test_parabolic_power_norms_refuses_nmax_below_one(self, nmax):
+        with pytest.raises(ValueError, match=f"nmax must be at least 1, got {nmax}"):
+            parabolic_power_norms(builtin("sym2"), nmax=nmax)
+
     def test_nonpoly_exponential_rate(self):
         out = parabolic_power_norms(builtin("nonpoly", a=1j), nmax=60)
         assert out["exp_rate"] == pytest.approx(math.log(PHI), abs=0.01)
@@ -363,6 +368,10 @@ class TestGrowthExponent:
         assert fit.alpha_emp <= 0.05
         # unitary image keeps the norm pinned at sqrt(3)
         assert fit.max_ratio <= math.sqrt(3) * 1.05
+
+    def test_refuses_fewer_than_one_sample(self):
+        with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+            growth_exponent(builtin("trivial"), SamplerConfig(n_samples=0))
 
     def test_nonpoly_exponential(self):
         fit = growth_exponent(builtin("nonpoly", a=1j))
