@@ -38,6 +38,7 @@ __all__ = [
     "LValue",
     "dirichlet_L",
     "completed_L",
+    "completed_dirichlet_L",
     "functional_equation_sign",
 ]
 

@@ -37,6 +37,7 @@ __all__ = [
     "eichler_shift",
     "left_transversal",
     "cusp_classes",
+    "random_element",
 ]
 
 INF = math.inf

@@ -43,6 +43,16 @@ def _two_pi_i_over(taus: np.ndarray, n: int) -> np.ndarray:
     return ((2j * math.pi * taus).view(float) / n).view(complex)
 
 
+def _upper_half_plane(taus) -> np.ndarray:
+    """``taus`` as a complex array, refused if a point is not finite or has Im tau <= 0."""
+    taus = np.asarray(taus, dtype=complex)
+    outside = ~np.isfinite(taus) | (taus.imag <= 0)
+    if np.any(outside):
+        tau = complex(taus.flat[np.argmax(outside)])
+        raise ValueError(f"tau = {tau} is not a finite point of the upper half plane")
+    return taus
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if len(a) + len(b) > _BIG_CONV:
         from scipy.signal import fftconvolve
@@ -60,12 +70,13 @@ class FracQSeries:
     fringes and reduces the grid so that the denominator and the occupied
     indices share no common factor.  A nonzero series therefore stores
     nonzero coefficients at its first and last index, and its lowest
-    exponent is start/D.  ``stride`` is the gcd of the occupied indices:
-    every exponent is start/D plus a multiple of stride/D (0 for a single
-    term or none).
+    exponent is start/D.  The indices of the nonzero coefficients are
+    kept, read-only, in ``_occupied``.  ``stride`` is their gcd: every
+    exponent is start/D plus a multiple of stride/D (0 for a single term
+    or none).
     """
 
-    __slots__ = ("h", "D", "start", "coeffs", "order", "_stride")
+    __slots__ = ("h", "D", "start", "coeffs", "order", "_occupied")
 
     def __init__(self, h: int, D: int, start: int, coeffs, order=None):
         coeffs = np.array(coeffs, dtype=complex)  # own copy: the series is immutable
@@ -73,20 +84,21 @@ class FracQSeries:
             raise ValueError("width and exponent denominator must be positive")
         if order is not None:
             order = Fraction(order)
-        h, D, start, coeffs, order, stride = _normalize(h, D, start, coeffs, order)
+        h, D, start, coeffs, order, occupied = _normalize(h, D, start, coeffs, order)
         self.h = h
         self.D = D
         self.start = int(start)
         self.coeffs = np.ascontiguousarray(coeffs)
         self.coeffs.setflags(write=False)
         self.order = order
-        self._stride = stride
+        occupied.setflags(write=False)
+        self._occupied = occupied
 
     # -- structure ----------------------------------------------------------
 
     @property
     def stride(self) -> int:
-        return self._stride
+        return int(np.gcd.reduce(self._occupied))
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -105,7 +117,7 @@ class FracQSeries:
 
     def occupied(self) -> list:
         """(exponent, coefficient) pairs of the nonzero stored terms."""
-        return [(Fraction(self.start + j, self.D), self.coeffs[j]) for j in np.flatnonzero(self.coeffs).tolist()]
+        return [(Fraction(self.start + j, self.D), self.coeffs[j]) for j in self._occupied.tolist()]
 
     def coefficient(self, exponent) -> complex:
         exponent = Fraction(exponent)
@@ -146,11 +158,15 @@ class FracQSeries:
         The one kernel that turns coefficients into values.  Each value is
         the pairwise sum of c_j exp(w (start + j)), w = 2 pi i tau/(h D),
         so it has the bits of a 1-d ``np.sum`` over the terms; the batch
-        runs in chunks of half a megabyte of temporaries.  Refuses the
-        batch if any point has |q| > 0.995, where the tail bound is
+        runs in chunks of half a megabyte of temporaries.  ``exp`` runs at
+        the occupied slots only: a sparse series scatters its terms into a
+        zeroed row of full width, and the row sum adds exact zeros at the
+        empty slots, which leaves every bit as the dense sum has it.
+        Refuses the batch if any point is not finite or not in the upper
+        half plane, or has |q| > 0.995, where the tail bound is
         meaningless.
         """
-        taus = np.asarray(taus, dtype=complex)
+        taus = _upper_half_plane(taus)
         q_abs = np.exp(-2 * math.pi * taus.imag / self.h)
         if np.any(q_abs > _Q_ABS_LIMIT):
             raise ValueError(f"|q| = {float(np.max(q_abs)):.4f} too close to 1; move tau upward")
@@ -160,11 +176,19 @@ class FracQSeries:
             # complex up front, as the product would cast them chunk by chunk
             exponents = (self.start + np.arange(len(self.coeffs))).astype(complex)
             rows = max(1, _CHUNK_BYTES // (16 * len(exponents)))
+            coeffs, occ, buf = self.coeffs, self._occupied, None
+            if len(occ) < len(coeffs):
+                buf = np.zeros((min(rows, len(w)), len(coeffs)), dtype=complex)
+                exponents, coeffs = exponents[occ], coeffs[occ]
             flat = values.reshape(-1)
             for lo in range(0, len(w), rows):
                 terms = np.multiply.outer(w[lo : lo + rows], exponents)
                 np.exp(terms, out=terms)
-                terms *= self.coeffs
+                terms *= coeffs
+                if buf is not None:
+                    # empty columns are never written, so they stay +0
+                    buf[: len(terms), occ] = terms
+                    terms = buf[: len(terms)]
                 flat[lo : lo + rows] = terms.sum(axis=-1)
         if not with_tail:
             return values
@@ -221,25 +245,24 @@ class FracQSeries:
 
 
 def _normalize(h, D, start, coeffs, order):
-    """(h, D, start, coeffs, order, stride) of the reduced series."""
+    """(h, D, start, coeffs, order, occupied indices) of the reduced series."""
     # drop stored terms at or beyond the truncation order, then trim the zero fringe
     if order is not None:
         coeffs = coeffs[: max(0, math.ceil(order * D - start))]  # indices j with (start+j)/D < order
     nz = np.flatnonzero(coeffs)
     if len(nz) == 0:
-        return h, 1, 0, np.zeros(0, dtype=complex), order, 0
+        return h, 1, 0, np.zeros(0, dtype=complex), order, nz
     coeffs = coeffs[nz[0] : nz[-1] + 1]
     start += int(nz[0])
     nz = nz - nz[0]
     # reduce the exponent grid; index 0 is occupied, so every occupied
     # index is a multiple of g and the reduced grid starts at start/g
-    stride = int(np.gcd.reduce(nz))
-    g = math.gcd(D, start, stride)
+    g = math.gcd(D, start, int(np.gcd.reduce(nz)))
     if g > 1:
         reduced = coeffs[::g]
         # unoccupied slots read +0, whatever the sign of the zero they held
-        coeffs, start, D, stride = np.where(reduced != 0, reduced, 0), start // g, D // g, stride // g
-    return h, D, start, np.ascontiguousarray(coeffs), order, stride
+        coeffs, start, D, nz = np.where(reduced != 0, reduced, 0), start // g, D // g, nz // g
+    return h, D, start, np.ascontiguousarray(coeffs), order, nz
 
 
 def _same_width(f: FracQSeries, g: FracQSeries) -> None:
@@ -524,7 +547,7 @@ class LogQExpansion:
 
         The tail bound of a log power j is |log q|^j times that of its series.
         """
-        taus = np.asarray(taus, dtype=complex)
+        taus = _upper_half_plane(taus)
         log_q = _two_pi_i_over(taus.ravel(), self.h).reshape(taus.shape)
         value = np.zeros(taus.shape, dtype=complex)
         tail = np.zeros(taus.shape)

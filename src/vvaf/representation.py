@@ -27,6 +27,7 @@ __all__ = [
     "ValidationReport",
     "JordanData",
     "GrowthFit",
+    "IllConditionedJordanError",
     "SamplerConfig",
     "validate",
     "mu",

@@ -1,4 +1,4 @@
-"""Every public name of the package has a caller outside the tests."""
+"""Every public name of the package is exported and has a caller outside the tests."""
 
 import ast
 import importlib
@@ -39,3 +39,21 @@ def test_every_public_name_has_a_caller():
         if name not in referenced
     ]
     assert unreferenced == [], f"public names with no caller in {', '.join(CALLER_TREES)}: {unreferenced}"
+
+
+def test_every_public_definition_is_exported():
+    # a top-level def or class without a leading underscore is public, so
+    # ``from vvaf.<module> import *`` and the caller check above must see it
+    missing = []
+    for info in pkgutil.iter_modules(vvaf.__path__):
+        module = importlib.import_module(f"vvaf.{info.name}")
+        exported = set(getattr(module, "__all__", ()))
+        tree = ast.parse(Path(module.__file__).read_text(), filename=module.__file__)
+        missing += [
+            f"vvaf.{info.name}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported
+        ]
+    assert missing == [], f"public definitions missing from their module's __all__: {missing}"

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gamma as Gamma
 
 from vvaf import qseries
+from vvaf.forms import BUILTIN_FORMS, eta4_theta_eta_form, theta_eta_form
 from vvaf.qseries import (
     FracQSeries,
     LogQExpansion,
@@ -212,7 +213,7 @@ class TestEvaluation:
 
     def test_evaluate_many_refuses_near_real_line(self):
         eta = eta_series(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\|q\| = 1\.0000 too close to 1; move tau upward$"):
             eta.evaluate_many([1j, 0.5 + 1e-6j])
         with pytest.raises(ValueError):
             FracQSeries.zero().evaluate_many([0.5 + 1e-6j])
@@ -221,6 +222,68 @@ class TestEvaluation:
         exact = FracQSeries(1, 2, 1, [1.0])
         _, tails = exact.evaluate_many([1j], with_tail=True)
         assert tails[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "tau",
+        [complex("nan+nanj"), complex(0.3, math.inf), complex(math.inf, 1), 0.2 - 0.5j, 0.5 + 0j],
+        ids=["nan", "inf-imag", "inf-real", "lower-half-plane", "real-line"],
+    )
+    def test_refuses_point_outside_upper_half_plane(self, tau):
+        eta = eta_series(40)
+        for series in (eta, FracQSeries.zero(), LogQExpansion({0: eta, 1: eta}), LogQExpansion({})):
+            with pytest.raises(ValueError, match=r"is not a finite point of the upper half plane"):
+                series.evaluate_many([1j, tau])
+
+    def test_refusal_names_first_point_outside(self):
+        with pytest.raises(ValueError, match=r"^tau = \(0\.2-0\.5j\) is not a finite point"):
+            eta_series(40).evaluate_many([[1j, 0.2 - 0.5j], [complex("nan+nanj"), 0.3 - 1j]])
+
+
+def _stored_series(X):
+    return [series for comp in X.basis_components for series in comp.terms.values()]
+
+
+_KERNEL_CASES = {
+    **{name: lambda factory=factory: _stored_series(factory()) for name, factory in BUILTIN_FORMS.items()},
+    "theta-eta-200": lambda: _stored_series(theta_eta_form(200)),
+    "eta4-theta-eta-100": lambda: _stored_series(eta4_theta_eta_form(100)),
+    "eta-40": lambda: [eta_series(40)],
+}
+
+
+class TestKernelBits:
+    """evaluate_many keeps the bits of the per-point sum, dense or sparse."""
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_matches_per_point_sums_bit_for_bit(self, case):
+        # 301 points span several chunks and leave a short last one
+        # (13 rows per chunk at 2425 slots)
+        rng = np.random.default_rng(301)
+        taus = rng.uniform(-1.5, 1.5, 301) + 1j * rng.uniform(0.05, 2.0, 301)
+        for series in _KERNEL_CASES[case]():
+            values = series.evaluate_many(taus)
+            reference = np.array([_per_point_value(series, complex(tau)) for tau in taus])
+            assert np.array_equal(values, reference)
+            # sign bits too: == does not tell +0 from -0
+            assert values.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize(
+        "series",
+        [eta_series(40), FracQSeries(1, 1, 0, np.arange(1.0, 6.0)), FracQSeries.zero(order=3)],
+        ids=["sparse", "dense", "zero"],
+    )
+    def test_empty_batch(self, series):
+        assert series.evaluate_many([]).shape == (0,)
+        values, tails = series.evaluate_many(np.zeros((0, 3)), with_tail=True)
+        assert values.shape == tails.shape == (0, 3)
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_occupied_indices_stored_read_only(self, case):
+        for series in _KERNEL_CASES[case]():
+            assert np.array_equal(series._occupied, np.flatnonzero(series.coeffs))
+            assert not series._occupied.flags.writeable
+            with pytest.raises(ValueError):
+                series._occupied[...] = 0
 
 
 def _coefficients_on_offset_loop(series, offset, nmax):
