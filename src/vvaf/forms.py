@@ -15,6 +15,7 @@ block.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,6 +73,9 @@ class VVAF:
         nonzero = [[s for s in comp.terms.values() if not s.is_zero()] for comp in self.basis_components]
         if mu_offsets is None:
             mu_offsets = [_lead_offset(series) for series in nonzero]
+        for off in mu_offsets:
+            if not isinstance(off, numbers.Rational):
+                raise ValueError(f"mu offsets must be ints or Fractions, got {off!r}")
         self.mu_offsets = [Fraction(x) for x in mu_offsets]
         for comp, series, off in zip(self.basis_components, nonzero, self.mu_offsets):
             # every exponent is the lowest one plus a multiple of stride/D,

@@ -26,6 +26,7 @@ concurrently, and a race can at worst compute an entry twice.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -78,8 +79,10 @@ def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
     movement between two fixed cutoffs, which is why the whole second half
     is scanned.  Nothing proves this estimate; it is measured against the
     split-Mellin value over a grid near the critical line (see the tests).
-    Refuses a cutoff below one term.
+    Refuses a non-finite s and a cutoff below one term.
     """
+    if not cmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     table = X.coefficient_table(n_terms)
@@ -180,13 +183,15 @@ def _decay_rate(X: VVAF) -> float:
     # at tau = i h y the nome is exp(-2 pi y) regardless of the width;
     # normalized series store no leading zero, so the lead is the lowest
     # occupied exponent
-    lead = min(
+    leads = [
         series.leading_exponent
         for comp in X.basis_components
         for series in comp.terms.values()
         if not series.is_zero()
-    )
-    return 2.0 * math.pi * float(lead)
+    ]
+    if not leads:
+        raise ValueError("X has no nonzero coefficient, so its Mellin integral is zero")
+    return 2.0 * math.pi * float(min(leads))
 
 
 def _node_set(X: VVAF, lower: float, rule: tuple) -> tuple:
@@ -227,6 +232,11 @@ def _upper_mellin(X: VVAF, s: complex, lower: float, rule: tuple) -> np.ndarray:
     return (ws * ys ** (s - 1.0)) @ values
 
 
+def _inversion_factor(X: VVAF, s: complex) -> complex:
+    """(ih)^k h^(-2s): the factor that the inversion element puts on the mirrored integral."""
+    return (1j * X.h) ** X.k * complex(X.h) ** (-2.0 * s)
+
+
 def _split_mellin_value(X: VVAF, s: complex, split: float, rule: tuple) -> np.ndarray:
     # integral_0^split maps through the inversion element:
     # (ih)^k h^(-2s) rho(S) integral_(1/(h^2 split))^infinity X(ihu) u^(k-s-1) du
@@ -234,8 +244,7 @@ def _split_mellin_value(X: VVAF, s: complex, split: float, rule: tuple) -> np.nd
     rho_S = X.rep.evaluate(gen_s())
     upper = _upper_mellin(X, s, split, rule)
     mirror = _upper_mellin(X, X.k - s, 1.0 / (h * h * split), rule)
-    prefactor = (1j * h) ** X.k * complex(h) ** (-2.0 * s)
-    return upper + prefactor * (rho_S @ mirror)
+    return upper + _inversion_factor(X, s) * (rho_S @ mirror)
 
 
 def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
@@ -246,11 +255,16 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
     inversion element, which turns it into another rapidly convergent
     integral.  Both integrals use 24 geometric panels of 24 Gauss-Legendre
     nodes; the value comes from the refined 32 by 32 rule, and the error
-    estimate, their difference, is heuristic.
+    estimate, their difference, is heuristic.  Refuses a non-finite s, a
+    split outside (0, inf) and a form with no nonzero coefficient.
     """
     if not X.cusp_form:
         raise ValueError("the Mellin integral diverges for non cusp forms")
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
+    if not 0 < split < math.inf:
+        raise ValueError(f"split must be positive and finite, got {split!r}")
     value = _split_mellin_value(X, s, split, _RULE)
     refined = _split_mellin_value(X, s, split, _REFINED_RULE)
     error = float(np.max(np.abs(value - refined)))
@@ -258,16 +272,16 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
 
 
 def _fe_residuals(X: VVAF, s: complex) -> tuple:
-    """Norms of rho(S) Lambda(s) -/+ (h i)^-k h^(2k-2s) Lambda(k-s), as (plus, minus).
+    """Norms of rho(S) Lambda(s) -/+ (ih)^k h^(-2s) Lambda(k-s), as (plus, minus).
 
-    Both completed values are computed at the same split, ``_FE_SPLIT``.
+    The factor is ``_inversion_factor``; for even k it equals the usual
+    (hi)^-k h^(2k-2s).  Both values are computed at the split ``_FE_SPLIT``.
     """
     s = complex(s)
-    h = X.h
     rho_S = X.rep.evaluate(gen_s())
     left = rho_S @ completed_L(X, s, split=_FE_SPLIT).value
     right = completed_L(X, X.k - s, split=_FE_SPLIT).value
-    factor = (h * 1j) ** (-X.k) * complex(h) ** (2.0 * X.k - 2.0 * s)
+    factor = _inversion_factor(X, s)
     plus = float(np.linalg.norm(left - factor * right))
     minus = float(np.linalg.norm(left + factor * right))
     return plus, minus
@@ -277,8 +291,11 @@ def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6) -> dict:
     """Evaluate both signs over a grid and report which one vanishes.
 
     Both completed values are split at 1.3, not 1, where both residuals
-    would be empty comparisons.
+    would be empty comparisons.  An empty grid, which selects nothing, is refused.
     """
+    s_grid = list(s_grid)
+    if not s_grid:
+        raise ValueError("s_grid is empty; there is no argument to compare the two sides at")
     rows = []
     for s in s_grid:
         plus, minus = _fe_residuals(X, s)

@@ -103,18 +103,6 @@ class GroupElement:
         # adjugate; valid because det = 1
         return GroupElement(self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, n: int) -> "GroupElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
 
 def identity() -> GroupElement:
     return GroupElement(1, 0, 0, 1)

@@ -13,6 +13,7 @@ batch evaluation over tau grids can run concurrently without coordination.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -120,19 +121,13 @@ class FracQSeries:
         return [(Fraction(self.start + j, self.D), self.coeffs[j]) for j in self._occupied.tolist()]
 
     def coefficient(self, exponent) -> complex:
-        exponent = Fraction(exponent)
-        if self.order is not None and exponent >= self.order:
-            raise ValueError(f"exponent {exponent} is beyond the truncation order {self.order}")
-        num = exponent * self.D
-        if num.denominator != 1:
-            return 0j
-        j = int(num) - self.start
-        if j < 0 or j >= len(self.coeffs):
-            return 0j
-        return complex(self.coeffs[j])
+        """The coefficient at one exponent; see :meth:`coefficients_on_offset`."""
+        return complex(self.coefficients_on_offset(exponent, 0)[0])
 
     def coefficients_on_offset(self, offset, nmax: int) -> np.ndarray:
-        """Coefficients at exponents n + offset for n = 0..nmax."""
+        """Coefficients at exponents n + offset for n = 0..nmax; a float offset is refused."""
+        if not isinstance(offset, numbers.Rational):
+            raise ValueError(f"exponent offset must be an int or a Fraction, got {offset!r}")
         offset = Fraction(offset)
         if self.order is not None and nmax + offset >= self.order:
             raise ValueError(
@@ -483,11 +478,20 @@ def coefficient_integral(f: FracQSeries, n: int, offset, y: float = 1.0, T: int 
     Exactness holds up to rounding amplified by exp(2 pi y (n + offset)/h):
     the target term is exponentially small inside f at height y, so keep
     y at most of order h/(n + offset) when extracting the n-th coefficient.
+    ``n`` and ``offset`` are ints or ``Fraction``s; a float is refused, as
+    by :meth:`FracQSeries.coefficients_on_offset`.
     """
+    if not all(isinstance(x, numbers.Rational) for x in (n, offset)):
+        raise ValueError(f"n and offset must be ints or Fractions, got n={n!r}, offset={offset!r}")
     target = Fraction(offset) + n
-    deltas = [e - target for e, _ in f.occupied()]
-    p = math.lcm(*(delta.denominator for delta in deltas))
-    span = max((abs(int(delta * p)) for delta in deltas), default=0)
+    # the exponents minus the target are lead + j stride/D: the period is the
+    # lcm of the two denominators, and the widest frequency sits at an end
+    p, span = 1, 0
+    if not f.is_zero():
+        lead = Fraction(f.start, f.D) - target
+        p = math.lcm(lead.denominator, Fraction(f.stride, f.D).denominator)
+        last = lead + Fraction(len(f.coeffs) - 1, f.D)
+        span = int(max(abs(lead), abs(last)) * p)
     T = max(T, 2 * span // p + 8)
     total = T * p
     taus = np.arange(total) * (f.h / T) + 1j * y
@@ -584,40 +588,6 @@ def _binom_poly(shift: Fraction, j: int) -> np.ndarray:
     return poly / math.factorial(j)
 
 
-def _expansion_to_upoly(x: LogQExpansion) -> dict:
-    """Rewrite (log q)^j stacks as coefficients of u^j, u = tau/h."""
-    out = {}
-    for j, series in x.terms.items():
-        out[j] = series * (2j * math.pi) ** j
-    return out
-
-
-def _upoly_to_expansion(poly: dict, h: int) -> LogQExpansion:
-    terms = {}
-    for j, series in poly.items():
-        terms[j] = series * (2j * math.pi) ** (-j)
-    return LogQExpansion(terms, h=h)
-
-
-def _upoly_scalar_mul(poly: dict, scalar_poly: np.ndarray) -> dict:
-    out: dict = {}
-    for j, series in poly.items():
-        for k, c in enumerate(scalar_poly):
-            if c == 0:
-                continue
-            scaled = series * c
-            key = j + k
-            out[key] = out[key] + scaled if key in out else scaled
-    return out
-
-
-def _upoly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for j, series in b.items():
-        out[j] = out[j] + series if j in out else series
-    return out
-
-
 def log_recouple(direction: str, components: list) -> list:
     """Recouple the components of a single Jordan block.
 
@@ -625,9 +595,10 @@ def log_recouple(direction: str, components: list) -> list:
     lower bidiagonal block action X_i -> lambda (X_i + X_{i-1}).  The
     forward direction produces the pure q-expansions obtained by
     alternating binomial combinations; the backward direction reassembles
-    the original components from pure expansions.  Forward outputs that
-    keep a log-term coefficient above 1e-9 raise, since that means the
-    inputs were not closed under the block action.
+    the original components from pure expansions.  The binomials, in
+    u = tau/h, act on the log stacks through u^k = (log q)^k / (2 pi i)^k.
+    Forward outputs that keep a log-term coefficient above 1e-9 raise,
+    since that means the inputs were not closed under the block action.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -635,17 +606,23 @@ def log_recouple(direction: str, components: list) -> list:
     if len(widths) > 1:
         raise ValueError(f"components of one block must share one width, got {sorted(widths)}")
     h = widths.pop() if widths else 1
-    polys = [_expansion_to_upoly(x) for x in components]
     out = []
     for i in range(len(components)):
-        acc: dict = {}
+        terms: dict = {}  # log power -> series
         for j in range(i + 1):
             if direction == "forward":
                 scalar = ((-1) ** j) * _binom_poly(Fraction(j - 1), j)
             else:
                 scalar = _binom_poly(Fraction(0), j)
-            acc = _upoly_add(acc, _upoly_scalar_mul(polys[i - j], scalar))
-        result = _upoly_to_expansion(acc, h)
+            # c_k u^k moves a log-power-p series to p + k, scaled by c_k (2 pi i)^-k
+            for power, series in components[i - j].terms.items():
+                for k, c in enumerate(scalar):
+                    if c == 0:
+                        continue
+                    term = series * (c * (2j * math.pi) ** (-k))
+                    key = power + k
+                    terms[key] = terms[key] + term if key in terms else term
+        result = LogQExpansion(terms, h=h)
         if direction == "forward":
             if not result.is_pure(tol=_PURITY_TOL):
                 raise ValueError(

@@ -116,13 +116,14 @@ def mu(lam: complex):
     order at most 1000, otherwise a float.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-8:
+    if abs(abs(lam) - 1.0) > _UNIT_CIRCLE_TOL:
         raise ValueError(f"eigenvalue {lam} is not on the unit circle")
     value = math.atan2(lam.imag, lam.real) / (2 * math.pi) % 1.0
-    for k in range(1, _MU_MAX_ORDER + 1):
-        p = round(value * k)
-        if abs(value - p / k) < 1e-10 / (2 * math.pi):
-            return Fraction(p % k, k)
+    # fractions of denominator at most 1000 lie at least 1e-6 apart, so the
+    # nearest one is the only candidate within the tolerance
+    nearest = Fraction(value).limit_denominator(_MU_MAX_ORDER)
+    if abs(value - nearest) < 1e-10 / (2 * math.pi):
+        return nearest % 1
     return value
 
 
@@ -137,9 +138,6 @@ class JordanData:
     blocks: tuple  # ((eigenvalue, size), ...)
     tol: float
     residual: float
-
-    def jordan_matrix(self) -> np.ndarray:
-        return _jordan_matrix(self.blocks)
 
 
 def _jordan_matrix(blocks) -> np.ndarray:

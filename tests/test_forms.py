@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from vvaf.forms import (
     theta_eta_form,
 )
 from vvaf.moebius import GroupElement, gen_s, gen_t
-from vvaf.qseries import FracQSeries, LogQExpansion, eta_series, theta_series
+from vvaf.qseries import FracQSeries, LogQExpansion, eta_power_series, eta_series, theta_series
 from vvaf.representation import builtin
 
 TAUS = [0.1 + 1j * y for y in np.linspace(0.8, 2.5, 10)]
@@ -109,6 +110,15 @@ class TestFlagDefinition:
         assert X.cusp_form == cusp
         default = VVAF(X.k, X.rep, X.basis_components, diagonalizer=X.P)
         assert default.mu_offsets == offsets
+
+    @pytest.mark.parametrize("offset", [1 / 24, np.float64(0.0), 0j], ids=["float", "numpy-float", "complex"])
+    def test_float_offset_refused_by_name(self, offset):
+        with pytest.raises(ValueError, match=re.escape(f"mu offsets must be ints or Fractions, got {offset!r}")):
+            VVAF(0, builtin("trivial"), [eta_series(10)], mu_offsets=[offset])
+
+    def test_numpy_integer_offset_accepted(self):
+        X = VVAF(12, builtin("trivial"), [eta_power_series(24, 10)], mu_offsets=[np.int64(0)])
+        assert X.mu_offsets == [Fraction(0)]
 
     def test_lead_off_its_offset_refused(self):
         with pytest.raises(ValueError, match="component exponent 1/24 is not an integer shift of its offset 0"):

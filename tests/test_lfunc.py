@@ -66,6 +66,13 @@ class TestDirichlet:
         with pytest.raises(ValueError, match="n_terms must be at least 1"):
             func(delta_form(300), s, n_terms)
 
+    @pytest.mark.parametrize("func", [dirichlet_L, completed_dirichlet_L])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, complex(8, math.nan)])
+    def test_non_finite_argument_refused(self, func, s):
+        # a NaN argument used to return a NaN value with a NaN error
+        with pytest.raises(ValueError, match="is not finite"):
+            func(delta_form(300), s, 100)
+
 
 class TestCompleted:
     def test_two_method_agreement_delta(self):
@@ -137,6 +144,24 @@ class TestCompleted:
         with pytest.raises(ValueError):
             completed_L(X, 2)
 
+    @pytest.mark.parametrize("split", [0, 0.0, -1.0, math.nan, math.inf])
+    def test_split_outside_range_refused(self, split):
+        # 0 used to fail inside numpy's geomspace, -1 and nan as a NaN point
+        with pytest.raises(ValueError, match=f"split must be positive and finite, got {split!r}"):
+            completed_L(delta_form(300), 8, split=split)
+
+    @pytest.mark.parametrize("s", [math.nan, complex(8, math.inf), complex(math.nan, 1)])
+    def test_non_finite_argument_refused(self, s):
+        with pytest.raises(ValueError, match="is not finite"):
+            completed_L(delta_form(300), s)
+
+    def test_form_without_coefficients_refused(self):
+        # the zero form counts as a cusp form, but has no decay rate to integrate with
+        X = VVAF(12, builtin("trivial"), [FracQSeries.zero(order=100)])
+        assert X.cusp_form
+        with pytest.raises(ValueError, match="X has no nonzero coefficient"):
+            completed_L(X, 8)
+
     def test_decay_rate_from_leading_exponents(self):
         for name in BUILTIN_FORMS:
             X = builtin_form(name)
@@ -173,6 +198,16 @@ class TestFunctionalEquation:
         (row,) = functional_equation_sign(Y, [1 + 2j])["rows"]
         assert row["residual_plus"] < 1e-6
         assert row["residual_minus"] > 0.1
+
+    @pytest.mark.parametrize("grid", [[], (), iter([])])
+    def test_empty_grid_refused(self, grid):
+        # zero rows used to select sign 0, as if the scan were ambiguous
+        with pytest.raises(ValueError, match="s_grid is empty"):
+            functional_equation_sign(delta_form(300), grid)
+
+    def test_non_finite_grid_point_refused(self):
+        with pytest.raises(ValueError, match="is not finite"):
+            functional_equation_sign(delta_form(300), [6, math.nan])
 
     def test_sign_scan_selects_plus(self):
         D = delta_form(400)

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from scipy.special import gamma as Gamma
 
 from vvaf import qseries
-from vvaf.forms import BUILTIN_FORMS, eta4_theta_eta_form, theta_eta_form
+from vvaf.forms import BUILTIN_FORMS, eta4_theta_eta_form, sym2_log_form, theta_eta_form
 from vvaf.qseries import (
     FracQSeries,
     LogQExpansion,
@@ -302,6 +303,15 @@ def _coefficients_on_offset_loop(series, offset, nmax):
     return out
 
 
+def _coefficient_by_index(series, exponent):
+    """The one-exponent read that the one-slot read replaced, kept as the reference."""
+    num = Fraction(exponent) * series.D
+    if num.denominator != 1:
+        return 0j
+    j = int(num) - series.start
+    return complex(series.coeffs[j]) if 0 <= j < len(series.coeffs) else 0j
+
+
 class TestCoefficientsOnOffset:
     def test_slice_matches_loop(self):
         rng = np.random.default_rng(29)
@@ -329,6 +339,33 @@ class TestCoefficientsOnOffset:
         eta.coefficients_on_offset(Fraction(1, 24), 10)
         with pytest.raises(ValueError):
             eta.coefficients_on_offset(Fraction(1, 24), 11)
+
+    @pytest.mark.parametrize(
+        "value", [1 / 3, 0.0, np.float64(1 / 3), 1 / 3 + 0j], ids=["float", "zero", "numpy-float", "complex"]
+    )
+    def test_float_offset_refused_by_name(self, value):
+        # 1/3 as a float is a binary rational off the grid: it used to read 0
+        series = FracQSeries(1, 3, 1, [1.0, 2.0, 3.0])
+        message = f"must be an int or a Fraction, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series.coefficients_on_offset(value, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            series.coefficient(value)
+
+    def test_rational_offsets_accepted(self):
+        series = FracQSeries(1, 3, 1, [1.0, 2.0, 3.0])
+        assert series.coefficient(Fraction(1, 3)) == 1.0
+        assert series.coefficient(np.int64(1)) == 3.0
+        assert series.coefficient(True) == 3.0
+        assert np.array_equal(series.coefficients_on_offset(np.int32(0), 1), [0, 3.0])
+
+    def test_coefficient_matches_index_read(self):
+        for series in (eta_series(20), theta_series(2, 12), FracQSeries(1, 8, 5, np.arange(1.0, 71.0))):
+            for e in (Fraction(k, 24) for k in range(-30, 24 * 15)):
+                if series.order is None or e < series.order:
+                    assert series.coefficient(e) == _coefficient_by_index(series, e)
+        with pytest.raises(ValueError, match="beyond truncation order"):
+            eta_series(10).coefficient(Fraction(265, 24))
 
 
 def _div_dense(f, g):
@@ -399,9 +436,57 @@ class TestDivision:
         assert not np.any(quotient.coeffs[2::3])
 
 
+def _coefficient_integral_by_terms(f, n, offset, y, T):
+    """The per-term period scan that the grid-derived period replaced, kept as the reference."""
+    target = Fraction(offset) + n
+    deltas = [e - target for e, _ in f.occupied()]
+    p = math.lcm(*(delta.denominator for delta in deltas))
+    span = max((abs(int(delta * p)) for delta in deltas), default=0)
+    T = max(T, 2 * span // p + 8)
+    total = T * p
+    taus = np.arange(total) * (f.h / T) + 1j * y
+    freq = -2j * math.pi * float(target) / f.h
+    return complex(np.sum(f.evaluate_many(taus) * np.exp(freq * taus)) / total)
+
+
+def _builtin_series():
+    """Every stored series and every plain-component series of the built-in forms, once each."""
+    out = {}
+    for series in [eta_series(40), theta_series(2, 20), FracQSeries(1, 7, 3, [2.0]), FracQSeries.zero(order=5)]:
+        out[repr(series), series.coeffs.tobytes()] = series
+    for name, factory in sorted(BUILTIN_FORMS.items()):
+        X = factory()
+        for i, comp in enumerate(X.basis_components):
+            for series in [*comp.terms.values(), *X.component_expansion(i).terms.values()]:
+                out[repr(series), series.coeffs.tobytes()] = series
+    return list(out.values())
+
+
 class TestCoefficientIntegral:
     def test_zero_function(self):
         assert coefficient_integral(FracQSeries.zero(), 3, Fraction(0)) == 0
+
+    @pytest.mark.parametrize(
+        "n, offset",
+        [(1, 1 / 24), (1.0, Fraction(1, 24)), (1, np.float64(0.5))],
+        ids=["float-offset", "float-n", "numpy-float-offset"],
+    )
+    def test_float_exponent_refused_by_name(self, n, offset):
+        # a float offset used to reach numpy as a huge period and fail there
+        with pytest.raises(ValueError, match=re.escape(f"got n={n!r}, offset={offset!r}")):
+            coefficient_integral(eta_series(10), n, offset, y=0.5)
+
+    def test_period_from_grid_matches_term_scan(self):
+        # the same period and span, so the same points and the same bits,
+        # on grids with one and with several offset classes
+        for series in _builtin_series():
+            exponents = [e for e, _ in series.occupied()[:3]]
+            exponents += [Fraction(1, 24), Fraction(5, 3), Fraction(-1, 24)]  # mostly off the grid
+            for e in exponents:
+                n = math.floor(e)
+                got = coefficient_integral(series, n, e - n, y=0.1, T=64)
+                want = _coefficient_integral_by_terms(series, n, e - n, 0.1, 64)
+                assert np.array(got).tobytes() == np.array(want).tobytes()  # sign bits too
 
     def test_eta_first_coefficient(self):
         eta = eta_series(40)
@@ -445,6 +530,50 @@ class TestCoefficientIntegral:
             freq = -2j * math.pi * float(n + Fraction(1, 24))
             reference = complex(np.sum(values * np.exp(freq * taus)) / T)
             assert coefficient_integral(eta, n, Fraction(1, 24), y=y, T=T) == reference
+
+
+def _log_recouple_upoly(direction, components):
+    """The u-polynomial recoupling that the LogQExpansion one replaced, kept as the reference.
+
+    Each stack is rewritten in u = tau/h as {j: series (2 pi i)^j}, the
+    binomial polynomials act there, and the sums are rewritten in log q.
+    """
+    h = components[0].h
+    polys = [{j: series * (2j * math.pi) ** j for j, series in x.terms.items()} for x in components]
+    out = []
+    for i in range(len(components)):
+        acc = {}
+        for j in range(i + 1):
+            if direction == "forward":
+                scalar = ((-1) ** j) * qseries._binom_poly(Fraction(j - 1), j)
+            else:
+                scalar = qseries._binom_poly(Fraction(0), j)
+            product = {}
+            for power, series in polys[i - j].items():
+                for k, c in enumerate(scalar):
+                    if c == 0:
+                        continue
+                    key = power + k
+                    product[key] = product[key] + series * c if key in product else series * c
+            for key, series in product.items():
+                acc[key] = acc[key] + series if key in acc else series
+        result = LogQExpansion({j: series * (2j * math.pi) ** (-j) for j, series in acc.items()}, h=h)
+        if direction == "forward":
+            result = LogQExpansion({0: result.terms.get(0, FracQSeries.zero(h))}, h=h)
+        out.append(result)
+    return out
+
+
+def _sym2_seeds(n_terms):
+    """The pure seeds of ``sym2_log_form``."""
+    seeds = []
+    for start, value in ((1, 1.0), (2, 1.0), (1, 0.5)):
+        coeffs = np.zeros(n_terms - start, dtype=complex)
+        coeffs[0] = value
+        if len(coeffs) > 2:
+            coeffs[2] = -0.25 * value
+        seeds.append(LogQExpansion({0: FracQSeries(1, 1, start, coeffs, order=Fraction(n_terms))}))
+    return seeds
 
 
 class TestLogRecouple:
@@ -513,6 +642,39 @@ class TestLogRecouple:
         x1 = LogQExpansion({0: FracQSeries(2, 3, 1, [1.0])})
         with pytest.raises(ValueError, match="share one width"):
             log_recouple("forward", [x0, x1])
+
+    @pytest.mark.parametrize("n_terms", [40, 4000])
+    def test_sym2_blocks_match_upoly_reference(self, n_terms):
+        # the seeds are dyadic, so the two routes agree to the last bit
+        blocks = sym2_log_form(n_terms).basis_components  # recoupled backward from the seeds
+        assert [sorted(x.terms) for x in blocks] == [[0], [0, 1], [0, 1, 2]]
+        pairs = [
+            (blocks, _log_recouple_upoly("backward", _sym2_seeds(n_terms))),
+            (log_recouple("forward", blocks), _log_recouple_upoly("forward", blocks)),
+        ]
+        for got, want in pairs:
+            for x, y in zip(got, want, strict=True):
+                assert list(x.terms) == list(y.terms)
+                for a, b in zip(x.terms.values(), y.terms.values()):
+                    _assert_same_series(a, b)
+
+    def test_random_blocks_match_upoly_reference(self):
+        # non-dyadic coefficients: the two routes round differently, by a few ulps
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            size, D, h = (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(1, 3)))
+            pure = [
+                LogQExpansion({0: FracQSeries(h, D, int(rng.integers(0, 3)), rng.normal(size=6) + 1j * rng.normal(size=6), order=10)})
+                for _ in range(size)
+            ]
+            mixed = log_recouple("backward", pure)
+            for direction, inputs, got in (("backward", pure, mixed), ("forward", mixed, log_recouple("forward", mixed))):
+                want = _log_recouple_upoly(direction, inputs)
+                for x, y in zip(got, want):
+                    assert list(x.terms) == list(y.terms)
+                    for a, b in zip(x.terms.values(), y.terms.values()):
+                        gap = float(np.linalg.norm((a - b).coeffs))
+                        assert gap <= 1e-15 * float(np.linalg.norm(b.coeffs))
 
     def test_not_closed_inputs_rejected(self):
         # a lone log term with no partner is not closed under the block action

@@ -152,6 +152,30 @@ def _short_word_element(rng, max_exponent):
     return g
 
 
+def _mu_by_search(angles):
+    """The search loop that ``limit_denominator`` replaced, kept as the reference.
+
+    For each lam = exp(2 pi i angle) it tries k = 1..1000 in turn and
+    returns Fraction(p % k, k) for the first k whose nearest p/k lies
+    within 1e-10/(2 pi) of the angle, else the float angle.  The k run as
+    one array per angle: round(value * k) and p / k are exact or correctly
+    rounded either way, so each test has the loop's bits.
+    """
+    ks = np.arange(1, 1001)
+    out = []
+    for angle in angles:
+        lam = complex(np.exp(2j * np.pi * angle))
+        value = math.atan2(lam.imag, lam.real) / (2 * math.pi) % 1.0
+        ps = np.rint(value * ks)
+        hits = np.flatnonzero(np.abs(value - ps / ks) < 1e-10 / (2 * math.pi))
+        if len(hits):
+            k = int(ks[hits[0]])
+            out.append(Fraction(int(ps[hits[0]]) % k, k))
+        else:
+            out.append(value)
+    return out
+
+
 class TestMu:
     def test_simple_values(self):
         assert mu(1) == 0
@@ -173,6 +197,18 @@ class TestMu:
     def test_float_fallback_beyond_order_bound(self):
         value = mu(np.exp(2j * np.pi * 0.123456789))
         assert isinstance(value, float)
+
+    def test_matches_search_loop(self):
+        # roots of unity of every order up to 1000, exact and moved by less
+        # and by more than the tolerance, plus random angles
+        rng = np.random.default_rng(59)
+        roots = [Fraction(p, k) for k in range(1, 1001) for p in {1 % k, int(rng.integers(0, k))}]
+        angles = [float(r) + shift for r in roots for shift in (0.0, 1e-13, -1e-13, 2e-11, -2e-11)]
+        angles += rng.uniform(-1.0, 2.0, size=2000).tolist()
+        for angle, want in zip(angles, _mu_by_search(angles), strict=True):
+            got = mu(np.exp(2j * np.pi * angle))
+            assert type(got) is type(want)
+            assert got == want
 
 
 class TestJordan:
@@ -196,7 +232,12 @@ class TestJordan:
         for name in ("theta-eta", "sym2", "trivial"):
             M = builtin(name).mat_t
             data = jordan_form(M)
-            recon = data.P @ data.jordan_matrix() @ np.linalg.inv(data.P)
+            J = np.zeros_like(M)
+            pos = 0
+            for lam, size in data.blocks:
+                J[pos : pos + size, pos : pos + size] = lam * np.eye(size) + np.eye(size, k=1)
+                pos += size
+            recon = data.P @ J @ np.linalg.inv(data.P)
             assert np.linalg.norm(recon - M) <= 1e-7 * max(1.0, np.linalg.norm(M))
             assert sum(size for _, size in data.blocks) == M.shape[0]
 
