@@ -128,6 +128,8 @@ class FracQSeries:
         """Coefficients at exponents n + offset for n = 0..nmax; a float offset is refused."""
         if not isinstance(offset, numbers.Rational):
             raise ValueError(f"exponent offset must be an int or a Fraction, got {offset!r}")
+        if nmax < 0:
+            raise ValueError(f"nmax must be at least 0, got {nmax}")
         offset = Fraction(offset)
         if self.order is not None and nmax + offset >= self.order:
             raise ValueError(
@@ -153,10 +155,14 @@ class FracQSeries:
         The one kernel that turns coefficients into values.  Each value is
         the pairwise sum of c_j exp(w (start + j)), w = 2 pi i tau/(h D),
         so it has the bits of a 1-d ``np.sum`` over the terms; the batch
-        runs in chunks of half a megabyte of temporaries.  ``exp`` runs at
-        the occupied slots only: a sparse series scatters its terms into a
-        zeroed row of full width, and the row sum adds exact zeros at the
-        empty slots, which leaves every bit as the dense sum has it.
+        runs in chunks of half a megabyte of temporaries.  ``exp`` runs only
+        at the occupied slots, and of those only on the prefix that can be
+        nonzero at the chunk's lowest point: past it every term underflows
+        to a zero.  Unless a dense series keeps every slot, the terms are
+        scattered into a zeroed row of full width, and the row sum adds
+        exact zeros at the other slots, which leaves every bit as the full
+        sum has it (a row whose every term underflows sums to +0 either
+        way).
         Refuses the batch if any point is not finite or not in the upper
         half plane, or has |q| > 0.995, where the tail bound is
         meaningless.
@@ -168,21 +174,31 @@ class FracQSeries:
         values = np.zeros(taus.shape, dtype=complex)
         if not self.is_zero():
             w = _two_pi_i_over(taus.ravel(), self.h * self.D)
+            occ, width = self._occupied, len(self.coeffs)
+            real_exponents = (self.start + occ).astype(float)  # ascending
             # complex up front, as the product would cast them chunk by chunk
-            exponents = (self.start + np.arange(len(self.coeffs))).astype(complex)
-            rows = max(1, _CHUNK_BYTES // (16 * len(exponents)))
-            coeffs, occ, buf = self.coeffs, self._occupied, None
-            if len(occ) < len(coeffs):
-                buf = np.zeros((min(rows, len(w)), len(coeffs)), dtype=complex)
-                exponents, coeffs = exponents[occ], coeffs[occ]
+            exponents, coeffs = real_exponents.astype(complex), self.coeffs[occ]
+            rows = max(1, _CHUNK_BYTES // (16 * width))
+            buf, written = None, 0  # occupied columns of buf that may be nonzero
             flat = values.reshape(-1)
             for lo in range(0, len(w), rows):
-                terms = np.multiply.outer(w[lo : lo + rows], exponents)
+                chunk = w[lo : lo + rows]
+                # exp(x + iy) is +-0 for x < -745.14, and the chunk's lowest
+                # point has its largest Re w: past this prefix of columns every
+                # term of every row is a zero
+                keep = np.searchsorted(real_exponents, 746.0 / -chunk.real.max(), side="right")
+                terms = np.multiply.outer(chunk, exponents[:keep])
                 np.exp(terms, out=terms)
-                terms *= coeffs
-                if buf is not None:
-                    # empty columns are never written, so they stay +0
-                    buf[: len(terms), occ] = terms
+                terms *= coeffs[:keep]
+                if keep < len(occ) or len(occ) < width:
+                    # a zeroed full-width row keeps the pairwise tree of the
+                    # dense sum; empty slots are never written and stay +0
+                    if buf is None:
+                        buf = np.zeros((min(rows, len(w)), width), dtype=complex)
+                    if written > keep:
+                        buf[:, occ[keep:written]] = 0  # left by a wider cut
+                    buf[: len(terms), occ[:keep]] = terms
+                    written = keep
                     terms = buf[: len(terms)]
                 flat[lo : lo + rows] = terms.sum(axis=-1)
         if not with_tail:

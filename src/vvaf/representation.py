@@ -116,7 +116,7 @@ def mu(lam: complex):
     order at most 1000, otherwise a float.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > _UNIT_CIRCLE_TOL:
+    if not abs(abs(lam) - 1.0) <= _UNIT_CIRCLE_TOL:  # also refuses NaN
         raise ValueError(f"eigenvalue {lam} is not on the unit circle")
     value = math.atan2(lam.imag, lam.real) / (2 * math.pi) % 1.0
     # fractions of denominator at most 1000 lie at least 1e-6 apart, so the

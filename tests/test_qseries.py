@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma as Gamma
 
-from vvaf import qseries
-from vvaf.forms import BUILTIN_FORMS, eta4_theta_eta_form, sym2_log_form, theta_eta_form
+from vvaf import lfunc, qseries
+from vvaf.forms import BUILTIN_FORMS, delta_form, eta4_theta_eta_form, sym2_log_form, theta_eta_form
 from vvaf.qseries import (
     FracQSeries,
     LogQExpansion,
@@ -252,6 +252,34 @@ _KERNEL_CASES = {
 }
 
 
+# heights from 0.05 up to 200 and back down: chunks with a narrow cut follow
+# chunks with a wide one and precede them, and the plateau near the top has
+# chunks where every row of delta underflows
+_UNDERFLOW_HEIGHTS = np.concatenate(
+    [np.geomspace(0.05, 200.0, 160), np.geomspace(200.0, 120.0, 40), np.geomspace(120.0, 0.05, 160)]
+)
+
+
+def _sparse_high_lead():
+    # exponents 300 up to 2347: every row at y >= 0.4 underflows; real
+    # coefficients, as the reference multiplies c e and the kernel e c,
+    # which numpy's complex product does not round alike
+    coeffs = np.zeros(2048)
+    coeffs[[0, 5, 40, 700, 2047]] = [-1.5, 2.0, -0.25, 3.0, -1.0]
+    return FracQSeries(1, 1, 300, coeffs)
+
+
+_UNDERFLOW_CASES = {
+    "delta-2100": lambda: _stored_series(delta_form(2100)),
+    "eta-8": lambda: [eta_power_series(8, 300)],
+    "theta-eta-200-negative-start": lambda: [
+        series for series in _stored_series(theta_eta_form(200)) if series.start < 0
+    ],
+    "sparse-lead-300": lambda: [_sparse_high_lead()],
+    "point-300": lambda: [FracQSeries(1, 1, 300, [-1.5])],
+}
+
+
 class TestKernelBits:
     """evaluate_many keeps the bits of the per-point sum, dense or sparse."""
 
@@ -267,6 +295,35 @@ class TestKernelBits:
             assert np.array_equal(values, reference)
             # sign bits too: == does not tell +0 from -0
             assert values.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_UNDERFLOW_CASES))
+    def test_underflowing_rows_bit_for_bit(self, case):
+        rng = np.random.default_rng(26)
+        taus = rng.uniform(-1.5, 1.5, len(_UNDERFLOW_HEIGHTS)) + 1j * _UNDERFLOW_HEIGHTS
+        # above y = 0.4 a series that starts at q^300 keeps no slot at all
+        for batch in (taus, taus[_UNDERFLOW_HEIGHTS >= 0.4]):
+            for series in _UNDERFLOW_CASES[case]():
+                values = series.evaluate_many(batch)
+                reference = np.array([_per_point_value(series, complex(tau)) for tau in batch])
+                assert np.array_equal(values, reference)
+                assert values.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
+
+    def test_underflow_cases_cover_every_kind_of_chunk(self):
+        # per chunk: how many rows underflow in full, and the chunk's lowest point
+        kinds = set()
+        for case in _UNDERFLOW_CASES.values():
+            for series in case():
+                rows = qseries._CHUNK_BYTES // (16 * len(series.coeffs))
+                lead = 2 * math.pi * series.start / (series.h * series.D)
+                lowest = []
+                for lo in range(0, len(_UNDERFLOW_HEIGHTS), rows):
+                    ys = _UNDERFLOW_HEIGHTS[lo : lo + rows]
+                    full = np.count_nonzero(lead * ys > 746)
+                    kinds.add("all rows" if full == len(ys) else "some rows" if full else "no row")
+                    lowest.append(ys.min())
+                if np.any(np.diff(lowest) > 0):
+                    kinds.add("narrower cut after a wider one")
+        assert kinds == {"all rows", "some rows", "no row", "narrower cut after a wider one"}
 
     @pytest.mark.parametrize(
         "series",
@@ -285,6 +342,40 @@ class TestKernelBits:
             assert not series._occupied.flags.writeable
             with pytest.raises(ValueError):
                 series._occupied[...] = 0
+
+
+class TestKernelWork:
+    """evaluate_many exponentiates no slot whose term underflows to zero."""
+
+    @staticmethod
+    def _count_complex_exps(monkeypatch):
+        counts = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            x = np.asarray(x)
+            if x.dtype.kind == "c":
+                counts.append(x.size)
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        return counts
+
+    def test_split_mellin_nodes_skip_underflowing_slots(self, monkeypatch):
+        ys, _, _ = lfunc._node_set(delta_form(2100), 1.0, lfunc._REFINED_RULE)
+        (series,) = _stored_series(delta_form(2100))
+        counts = self._count_complex_exps(monkeypatch)
+        series.evaluate_many(1j * ys)
+        # about 2.4 % at this rule; without the cut every slot is exponentiated
+        assert 0 < sum(counts) <= 0.06 * len(ys) * len(series.coeffs)
+
+    def test_no_cut_below_the_underflow_line(self, monkeypatch):
+        # the coefficient integrals run at y = 0.1, where no term underflows
+        eta = eta_series(40)
+        taus = np.linspace(0.0, 1.0, 50, endpoint=False) + 0.1j
+        counts = self._count_complex_exps(monkeypatch)
+        eta.evaluate_many(taus)
+        assert sum(counts) == len(taus) * len(eta._occupied)
 
 
 def _coefficients_on_offset_loop(series, offset, nmax):
@@ -333,6 +424,14 @@ class TestCoefficientsOnOffset:
                         continue
                     expected = _coefficients_on_offset_loop(series, offset, nmax)
                     assert np.array_equal(series.coefficients_on_offset(offset, nmax), expected)
+
+    @pytest.mark.parametrize("nmax", [-1, -2])
+    def test_negative_nmax_refused_by_name(self, nmax):
+        series = eta_series(10)
+        with pytest.raises(ValueError, match=f"nmax must be at least 0, got {nmax}"):
+            series.coefficients_on_offset(0, nmax)
+        with pytest.raises(ValueError, match=f"nmax must be at least 0, got {nmax}"):
+            FracQSeries(1, 3, 1, [1.0, 2.0]).coefficients_on_offset(Fraction(1, 3), nmax)
 
     def test_order_error(self):
         eta = eta_series(10)

@@ -194,6 +194,16 @@ class TestMu:
         with pytest.raises(ValueError):
             mu(1.5)
 
+    @pytest.mark.parametrize(
+        "lam",
+        [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)],
+        ids=["nan-real", "nan-imag", "inf"],
+    )
+    def test_rejects_non_finite_by_name(self, lam):
+        # abs(abs(nan) - 1) > tol is False, so NaN used to reach Fraction
+        with pytest.raises(ValueError, match="is not on the unit circle"):
+            mu(lam)
+
     def test_float_fallback_beyond_order_bound(self):
         value = mu(np.exp(2j * np.pi * 0.123456789))
         assert isinstance(value, float)
