@@ -26,11 +26,18 @@ def exp_sum(X: VVAF, theta: float, cutoff: int) -> np.ndarray:
 
     Logarithmic forms sum over every (eigenvalue, log power) slot.  At
     theta = 0 this is exactly the plain partial sum of the coefficients.
+    Refuses a non-finite theta.
     """
+    _check_theta(theta)
     if cutoff < 1:
         return np.zeros(X.m, dtype=complex)
     phases = np.exp(2j * math.pi * theta * np.arange(cutoff))
     return _twisted_sum(X.coefficient_table(cutoff - 1), X.P, phases)
+
+
+def _check_theta(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
 
 
 def _twisted_sum(table: np.ndarray, P: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -60,9 +67,11 @@ def bound_scan(X: VVAF, thetas, cutoffs, alpha: float = 0.0) -> ExpSumScan:
     for merely holomorphic ones.  The verdict passes when the worst ratio
     at the largest cutoff stays within a factor 3 of the worst ratio at
     the smallest cutoff.  Both lists must
-    be nonempty; cutoffs must be increasing and at least 1.
+    be nonempty; thetas must be finite, cutoffs increasing and at least 1.
     """
     thetas = tuple(float(t) for t in thetas)
+    for theta in thetas:
+        _check_theta(theta)
     cutoffs = tuple(int(c) for c in cutoffs)
     if not thetas:
         raise ValueError("thetas must not be empty")

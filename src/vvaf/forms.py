@@ -149,8 +149,11 @@ class VVAF:
     def coefficient_exponent(self, alpha: float) -> float:
         """Exponent e of the coefficient bound a_n = O(n^e) for growth exponent ``alpha``.
 
-        k/2 + alpha for a cusp form and k + 2 alpha otherwise.
+        k/2 + alpha for a cusp form and k + 2 alpha otherwise.  Refuses a
+        non-finite alpha, which would turn every verdict against it into FAIL.
         """
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}")
         return self.k / 2.0 + alpha if self.cusp_form else self.k + 2.0 * alpha
 
 
@@ -161,11 +164,15 @@ def _lead_offset(series: list) -> Fraction:
     return lead - math.floor(lead)
 
 
-def check_transformation(X: VVAF, gamma: GroupElement, taus, tail_bound: float = 1e-10) -> float:
+# the largest truncation tail at which a transformation residual still means something
+_TAIL_BOUND = 1e-10
+
+
+def check_transformation(X: VVAF, gamma: GroupElement, taus) -> float:
     """Max residual of the weight-k functional equation over sample points.
 
     Compares j(gamma, tau)^-k X(gamma tau) against rho(gamma) X(tau); a
-    truncation tail above ``tail_bound`` at any sample raises, since the
+    truncation tail above 1e-10 at any sample raises, since the
     residual would be meaningless there.  An empty sample set raises, since
     it would check nothing.
     """
@@ -175,10 +182,10 @@ def check_transformation(X: VVAF, gamma: GroupElement, taus, tail_bound: float =
     lhs, tail1 = X.evaluate_many([apply_moebius(gamma, tau) for tau in taus], with_tail=True)
     rhs, tail2 = X.evaluate_many(taus, with_tail=True)
     tails = np.maximum(tail1, tail2)
-    over = np.flatnonzero(tails > tail_bound)
+    over = np.flatnonzero(tails > _TAIL_BOUND)
     if len(over):
         i = over[0]
-        raise ValueError(f"truncation tail {tails[i]:.2e} exceeds {tail_bound:.2e} at tau={taus[i]}")
+        raise ValueError(f"truncation tail {tails[i]:.2e} exceeds {_TAIL_BOUND:.2e} at tau={taus[i]}")
     weights = np.array([j_factor(gamma, tau) ** (-X.k) for tau in taus])
     residuals = np.linalg.norm(weights[:, None] * lhs - rhs @ X.rep.evaluate(gamma).T, axis=-1)
     return float(np.max(residuals))

@@ -8,6 +8,7 @@ growth exponent; nothing here is randomized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,8 +119,11 @@ def supnorm_scan(X: VVAF, exponent: float) -> dict:
     and 40 geometrically spaced heights from 0.05 to 10, inside the
     evaluation-safe region.  PASS means the weighted norm near the real
     line stays within a factor 10 of its size at unit height and above,
-    which is the finite proxy for boundedness.
+    which is the finite proxy for boundedness.  Refuses a non-finite
+    exponent.
     """
+    if not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent!r}")
     xs = np.linspace(0.0, X.h, SUPNORM_GRID, endpoint=False)
     ys = np.geomspace(0.05, 10.0, SUPNORM_GRID)
     norms = np.linalg.norm(X.evaluate_many((xs + 1j * ys[:, None]).ravel()), axis=-1)

@@ -17,7 +17,8 @@ quadrature rule evaluates the form once, in one call of the evaluation
 kernel (which chunks the batch itself), and keeps nodes, weights and
 values in a memo on the form instance; every later Mellin integral with
 that rule, at any s, is one dot product.  The memo grows by one entry
-per (lower limit, rule) pair.
+per (lower limit, rule) pair.  The sign scan reads only the refined
+rule, above its split point and above the mirrored one: two entries.
 
 Everything is pure: the memo holds only values computed from the
 immutable form, so L-values over a grid of arguments can be computed
@@ -63,6 +64,16 @@ class LValue:
     n_terms: int = 0
 
 
+def _cusp_argument(X: VVAF, s) -> complex:
+    """``s`` as a complex number; refuses a form that is not a cusp form and a non-finite s."""
+    if not X.cusp_form:
+        raise ValueError("L-values are defined here for cusp forms only")
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s = {s} is not finite")
+    return s
+
+
 def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
     """One pass over the coefficients of every slot, and the truncation error.
 
@@ -79,10 +90,8 @@ def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
     movement between two fixed cutoffs, which is why the whole second half
     is scanned.  Nothing proves this estimate; it is measured against the
     split-Mellin value over a grid near the critical line (see the tests).
-    Refuses a non-finite s and a cutoff below one term.
+    Refuses a cutoff below one term.
     """
-    if not cmath.isfinite(s):
-        raise ValueError(f"s = {s} is not finite")
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     table = X.coefficient_table(n_terms)
@@ -137,9 +146,7 @@ def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) ->
     to ``completed_L`` from the critical line to half a unit past the
     abscissa, but nothing proves that it does.
     """
-    if not X.cusp_form:
-        raise ValueError("the coefficient sum is defined here for cusp forms only")
-    s = complex(s)
+    s = _cusp_argument(X, s)
     _, basis_values, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
     return LValue(
         s=s,
@@ -157,12 +164,10 @@ def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float
     Admissible forms get (2 pi)^-s Gamma(s) L(s); logarithmic slots carry
     the alternating-sign shifted Gamma factors.
     """
-    if not X.cusp_form:
-        raise ValueError("completion requires a cusp form")
+    s = _cusp_argument(X, s)
     # Imported here so that loading the package does not load scipy.
     from scipy.special import gamma as complex_gamma
 
-    s = complex(s)
     slot_sums, _, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
     basis_values = np.zeros(X.m, dtype=complex)
     for i, j, full in slot_sums:
@@ -237,11 +242,10 @@ def _inversion_factor(X: VVAF, s: complex) -> complex:
     return (1j * X.h) ** X.k * complex(X.h) ** (-2.0 * s)
 
 
-def _split_mellin_value(X: VVAF, s: complex, split: float, rule: tuple) -> np.ndarray:
+def _split_mellin_value(X: VVAF, s: complex, split: float, rule: tuple, rho_S: np.ndarray) -> np.ndarray:
     # integral_0^split maps through the inversion element:
     # (ih)^k h^(-2s) rho(S) integral_(1/(h^2 split))^infinity X(ihu) u^(k-s-1) du
     h = X.h
-    rho_S = X.rep.evaluate(gen_s())
     upper = _upper_mellin(X, s, split, rule)
     mirror = _upper_mellin(X, X.k - s, 1.0 / (h * h * split), rule)
     return upper + _inversion_factor(X, s) * (rho_S @ mirror)
@@ -258,48 +262,37 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
     estimate, their difference, is heuristic.  Refuses a non-finite s, a
     split outside (0, inf) and a form with no nonzero coefficient.
     """
-    if not X.cusp_form:
-        raise ValueError("the Mellin integral diverges for non cusp forms")
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValueError(f"s = {s} is not finite")
+    s = _cusp_argument(X, s)
     if not 0 < split < math.inf:
         raise ValueError(f"split must be positive and finite, got {split!r}")
-    value = _split_mellin_value(X, s, split, _RULE)
-    refined = _split_mellin_value(X, s, split, _REFINED_RULE)
+    rho_S = X.rep.evaluate(gen_s())
+    value = _split_mellin_value(X, s, split, _RULE, rho_S)
+    refined = _split_mellin_value(X, s, split, _REFINED_RULE, rho_S)
     error = float(np.max(np.abs(value - refined)))
     return LValue(s=s, value=refined, method="split-mellin", error=error, rigorous=False)
-
-
-def _fe_residuals(X: VVAF, s: complex) -> tuple:
-    """Norms of rho(S) Lambda(s) -/+ (ih)^k h^(-2s) Lambda(k-s), as (plus, minus).
-
-    The factor is ``_inversion_factor``; for even k it equals the usual
-    (hi)^-k h^(2k-2s).  Both values are computed at the split ``_FE_SPLIT``.
-    """
-    s = complex(s)
-    rho_S = X.rep.evaluate(gen_s())
-    left = rho_S @ completed_L(X, s, split=_FE_SPLIT).value
-    right = completed_L(X, X.k - s, split=_FE_SPLIT).value
-    factor = _inversion_factor(X, s)
-    plus = float(np.linalg.norm(left - factor * right))
-    minus = float(np.linalg.norm(left + factor * right))
-    return plus, minus
 
 
 def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6) -> dict:
     """Evaluate both signs over a grid and report which one vanishes.
 
-    Both completed values are split at 1.3, not 1, where both residuals
-    would be empty comparisons.  An empty grid, which selects nothing, is refused.
+    The residuals are the norms of rho(S) Lambda(s) -/+ (ih)^k h^(-2s)
+    Lambda(k-s), with both values refined split-Mellin values split at 1.3,
+    not 1, where both residuals would be empty comparisons.  An empty grid,
+    which selects nothing, is refused.
     """
     s_grid = list(s_grid)
     if not s_grid:
         raise ValueError("s_grid is empty; there is no argument to compare the two sides at")
+    rho_S = X.rep.evaluate(gen_s())
     rows = []
     for s in s_grid:
-        plus, minus = _fe_residuals(X, s)
-        rows.append({"s": complex(s), "residual_plus": plus, "residual_minus": minus})
+        s = _cusp_argument(X, s)
+        left = rho_S @ _split_mellin_value(X, s, _FE_SPLIT, _REFINED_RULE, rho_S)
+        right = _split_mellin_value(X, X.k - s, _FE_SPLIT, _REFINED_RULE, rho_S)
+        factor = _inversion_factor(X, s)
+        plus = float(np.linalg.norm(left - factor * right))
+        minus = float(np.linalg.norm(left + factor * right))
+        rows.append({"s": s, "residual_plus": plus, "residual_minus": minus})
     plus_ok = all(row["residual_plus"] < tol for row in rows)
     minus_ok = all(row["residual_minus"] < tol for row in rows)
     if plus_ok == minus_ok:

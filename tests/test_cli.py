@@ -103,6 +103,30 @@ class TestSubcommands:
         assert "cutoffs must be at least 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_expsum_scan_refuses_non_finite_theta(self, tmp_path, capsys):
+        code = run(["--out-dir", str(tmp_path), "expsum", "scan", "--builtin", "delta", "--thetas", "0,nan"])
+        assert code == 2
+        assert "theta must be finite, got nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vvaf", "growth", "--builtin", "delta", "-N", "200"],
+            ["vvaf", "meansq", "--builtin", "delta", "-N", "200"],
+            ["lfunc", "eval", "--builtin", "delta", "--s", "8", "--method", "truncated-sum"],
+            ["expsum", "scan", "--builtin", "delta", "--cutoffs", "10,20"],
+        ],
+    )
+    def test_non_finite_alpha_in_config_is_usage_error(self, tmp_path, capsys, argv):
+        # alpha = nan used to exit 1, a FAIL verdict, from growth and meansq
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = nan\n")
+        out = tmp_path / "out"
+        assert run(["--config", str(config), "--out-dir", str(out), *argv]) == 2
+        assert "alpha must be finite, got nan" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_transform_check_refuses_zero_samples(self, tmp_path, capsys):
         argv = ["--out-dir", str(tmp_path), "vvaf", "transform-check", "--builtin", "delta", "--gamma", "s", "--samples", "0"]
         assert run(argv) == 2

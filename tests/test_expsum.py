@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,13 @@ class TestExpSum:
         assert np.allclose(value, expected)
 
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta_refused(self, theta):
+        # NaN used to return a NaN sum
+        with pytest.raises(ValueError, match=f"theta must be finite, got {theta!r}"):
+            exp_sum(delta_form(30), theta, 10)
+
+
 class TestBoundScan:
     def test_eta4_form(self):
         Y = eta4_theta_eta_form(2100)
@@ -99,6 +108,17 @@ class TestBoundScan:
     def test_refuses_empty_lists(self, thetas, cutoffs, name):
         with pytest.raises(ValueError, match=f"{name} must not be empty"):
             bound_scan(delta_form(50), thetas, cutoffs, alpha=0.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_theta(self, theta):
+        # inf used to warn in exp and read FAIL
+        with pytest.raises(ValueError, match=f"theta must be finite, got {theta!r}"):
+            bound_scan(delta_form(50), [0.0, theta], [10, 20], alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_refuses_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            bound_scan(delta_form(50), THETAS, [10, 20], alpha=alpha)
 
     def test_sums_match_exp_sum(self):
         # one coefficient read at the largest cutoff, sliced per cutoff, has

@@ -297,8 +297,8 @@ class TestTransformation:
 
     def test_tail_guard_raises(self):
         X = theta_eta_form(10)
-        with pytest.raises(ValueError):
-            check_transformation(X, gen_s(), [0.49 + 0.08j], tail_bound=1e-12)
+        with pytest.raises(ValueError, match=r"truncation tail 2\.88e\+01 exceeds 1\.00e-10"):
+            check_transformation(X, gen_s(), [0.49 + 0.08j])
 
 
 class TestCoefficients:
@@ -377,6 +377,13 @@ class TestCoefficientExponent:
         assert not X.cusp_form
         assert X.coefficient_exponent(0.0) == 0.0
         assert X.coefficient_exponent(0.25) == 0.5
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        # every growth target reads this exponent; NaN used to turn each verdict into FAIL
+        for X in (delta_form(30), theta_eta_form(30)):
+            with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha!r}"):
+                X.coefficient_exponent(alpha)
 
 
 class TestSym2Fixture:

@@ -85,6 +85,16 @@ class TestCoefficientGrowth:
             coefficient_growth_report(delta_form(30), -4, alpha=0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_alpha_refused(alpha):
+    # NaN used to read as a FAIL verdict, as if the form broke its bound
+    D = delta_form(300)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        coefficient_growth_report(D, 200, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        mean_square(D, 200, alpha=alpha)
+
+
 class TestCoefficientNorms:
     def test_plain_form_is_fourier_vector_max(self):
         X = eta4_theta_eta_form(100)
@@ -120,6 +130,11 @@ class TestSupnorm:
         D = delta_form(150)
         scan = supnorm_scan(D, exponent=6.0)
         assert scan["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf])
+    def test_non_finite_exponent_refused(self, exponent):
+        with pytest.raises(ValueError, match=f"exponent must be finite, got {exponent!r}"):
+            supnorm_scan(delta_form(150), exponent=exponent)
 
 
 class TestMeanSquare:

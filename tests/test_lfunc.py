@@ -6,14 +6,47 @@ from scipy.special import gamma as complex_gamma
 
 from vvaf.forms import BUILTIN_FORMS, VVAF, builtin_form, delta_form, eta4_theta_eta_form
 from vvaf.lfunc import (
+    _FE_SPLIT,
+    _REFINED_RULE,
     _decay_rate,
+    _inversion_factor,
     completed_L,
     completed_dirichlet_L,
     dirichlet_L,
     functional_equation_sign,
 )
+from vvaf.moebius import gen_s
 from vvaf.qseries import FracQSeries, LogQExpansion
 from vvaf.representation import builtin
+
+
+def fresh(X: VVAF) -> VVAF:
+    """A copy of ``X`` with an empty Mellin node memo; the factories cache their forms."""
+    return VVAF(X.k, X.rep, X.basis_components, diagonalizer=X.P, mu_offsets=X.mu_offsets)
+
+
+def _fe_residuals(X: VVAF, s: complex) -> tuple:
+    """Reference for the sign scan: (plus, minus) from two ``completed_L`` values.
+
+    The norms of rho(S) Lambda(s) -/+ (ih)^k h^(-2s) Lambda(k-s), both
+    values split at ``_FE_SPLIT``.
+    """
+    s = complex(s)
+    rho_S = X.rep.evaluate(gen_s())
+    left = rho_S @ completed_L(X, s, split=_FE_SPLIT).value
+    right = completed_L(X, X.k - s, split=_FE_SPLIT).value
+    factor = _inversion_factor(X, s)
+    plus = float(np.linalg.norm(left - factor * right))
+    minus = float(np.linalg.norm(left + factor * right))
+    return plus, minus
+
+
+def _non_cusp_form() -> VVAF:
+    return VVAF(0, builtin("trivial"), [FracQSeries(1, 1, 0, [1.0], order=50)])
+
+
+# every entry point refuses a form that is not a cusp form with this one message
+_NOT_CUSP = "^L-values are defined here for cusp forms only$"
 
 
 class TestGammaPrimitive:
@@ -54,10 +87,9 @@ class TestDirichlet:
         assert 0 < value.error < float("inf")  # downgraded to a heuristic
 
     def test_non_cusp_form_rejected(self):
-        rep = builtin("trivial")
-        X = VVAF(0, rep, [FracQSeries(1, 1, 0, [1.0], order=50)])
-        with pytest.raises(ValueError):
-            dirichlet_L(X, 8)
+        for func in (dirichlet_L, completed_dirichlet_L):
+            with pytest.raises(ValueError, match=_NOT_CUSP):
+                func(_non_cusp_form(), 8)
 
     @pytest.mark.parametrize("func", [dirichlet_L, completed_dirichlet_L])
     @pytest.mark.parametrize("s", [9.0, 6.5])  # either side of Re s = k/2 + 1 = 7
@@ -72,6 +104,14 @@ class TestDirichlet:
         # a NaN argument used to return a NaN value with a NaN error
         with pytest.raises(ValueError, match="is not finite"):
             func(delta_form(300), s, 100)
+
+    @pytest.mark.parametrize("func", [dirichlet_L, completed_dirichlet_L])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_refused(self, func, alpha):
+        # NaN alpha used to return a value flagged heuristic, as if Re s were
+        # outside the half-plane of the tail bound
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha!r}"):
+            func(delta_form(300), 8, 100, alpha=alpha)
 
 
 class TestCompleted:
@@ -139,10 +179,8 @@ class TestCompleted:
             assert abs(a - b) <= 10 * ds * max(derivative, 1e-6)
 
     def test_non_cusp_form_rejected(self):
-        rep = builtin("trivial")
-        X = VVAF(0, rep, [FracQSeries(1, 1, 0, [1.0], order=50)])
-        with pytest.raises(ValueError):
-            completed_L(X, 2)
+        with pytest.raises(ValueError, match=_NOT_CUSP):
+            completed_L(_non_cusp_form(), 2)
 
     @pytest.mark.parametrize("split", [0, 0.0, -1.0, math.nan, math.inf])
     def test_split_outside_range_refused(self, split):
@@ -169,17 +207,14 @@ class TestCompleted:
             assert _decay_rate(X) == 2.0 * math.pi * float(lowest)
 
     def test_node_values_shared_across_calls(self):
-        # the sign scan fills the form's node memo at split 1.3 and its
-        # mirror; later calls reading it must match a form with no memo
+        # the sign scan fills the form's node memo with the refined rule at
+        # split 1.3 and its mirror; later calls reading it, which add the
+        # coarse rule, must match a form with no memo
         D = delta_form(400)
-
-        def fresh():
-            return VVAF(D.k, D.rep, D.basis_components, mu_offsets=D.mu_offsets)
-
-        scanned = fresh()
+        scanned = fresh(D)
         functional_equation_sign(scanned, [5, 7])
         for s, split in ((7, 1.3), (5, 1.3), (6 + 3j, 1.3), (8, 1.0)):
-            a = completed_L(fresh(), s, split=split)
+            a = completed_L(fresh(D), s, split=split)
             b = completed_L(scanned, s, split=split)
             assert np.array_equal(a.value, b.value)
             assert a.error == b.error
@@ -198,6 +233,36 @@ class TestFunctionalEquation:
         (row,) = functional_equation_sign(Y, [1 + 2j])["rows"]
         assert row["residual_plus"] < 1e-6
         assert row["residual_minus"] > 0.1
+
+    @pytest.mark.parametrize(
+        "factory, grid",
+        [
+            (delta_form, [4 + 0.5 * k for k in range(10)] + [6 + 3j]),
+            (eta4_theta_eta_form, [complex(0.5 + 0.3 * k, 0.4) for k in range(10)]),
+        ],
+        ids=["delta", "eta4"],
+    )
+    def test_rows_match_completed_L_reference_bit_for_bit(self, factory, grid):
+        X = factory(400 if factory is delta_form else 200)
+        rows = functional_equation_sign(fresh(X), grid)["rows"]
+        assert [row["s"] for row in rows] == [complex(s) for s in grid]
+        reference = fresh(X)
+        for row, s in zip(rows, grid):
+            plus, minus = _fe_residuals(reference, s)
+            # float.hex tells -0.0 from 0.0, which == does not
+            assert (row["residual_plus"].hex(), row["residual_minus"].hex()) == (plus.hex(), minus.hex())
+
+    @pytest.mark.parametrize("factory", [delta_form, eta4_theta_eta_form])
+    def test_scan_memoizes_only_the_refined_rule(self, factory):
+        # the scan reads the refined values only, so it builds no coarse node set
+        X = fresh(factory(200))
+        functional_equation_sign(X, [1 + 2j, 1.5])
+        mirror = 1.0 / (X.h * X.h * _FE_SPLIT)
+        assert set(vars(X)["_mellin_nodes"]) == {(_FE_SPLIT, _REFINED_RULE), (mirror, _REFINED_RULE)}
+
+    def test_non_cusp_form_rejected(self):
+        with pytest.raises(ValueError, match=_NOT_CUSP):
+            functional_equation_sign(_non_cusp_form(), [2])
 
     @pytest.mark.parametrize("grid", [[], (), iter([])])
     def test_empty_grid_refused(self, grid):

@@ -35,11 +35,13 @@ def _per_point_value(series: FracQSeries, tau: complex) -> complex:
     """sum_j c_j q^((start+j)/D) at one point, the reference for the kernel.
 
     The phase is a Python complex and the terms are summed by a 1-d
-    np.sum, which is how the series was evaluated point by point.
+    np.sum, which is how the series was evaluated point by point.  Each
+    term is exp times c, in the kernel's order: numpy's complex product
+    (with FMA) does not round c exp and exp c alike.
     """
     w = 2j * math.pi * tau / (series.h * series.D)
     exponents = series.start + np.arange(len(series.coeffs))
-    return complex(np.sum(series.coeffs * np.exp(w * exponents)))
+    return complex(np.sum(np.exp(w * exponents) * series.coeffs))
 
 
 class TestEta:
@@ -261,12 +263,27 @@ _UNDERFLOW_HEIGHTS = np.concatenate(
 
 
 def _sparse_high_lead():
-    # exponents 300 up to 2347: every row at y >= 0.4 underflows; real
-    # coefficients, as the reference multiplies c e and the kernel e c,
-    # which numpy's complex product does not round alike
+    # exponents 300 up to 2347: every row at y >= 0.4 underflows
     coeffs = np.zeros(2048)
     coeffs[[0, 5, 40, 700, 2047]] = [-1.5, 2.0, -0.25, 3.0, -1.0]
     return FracQSeries(1, 1, 300, coeffs)
+
+
+def _complex_coefficients(start: int, width: int, occupied) -> FracQSeries:
+    rng = np.random.default_rng(start + width)
+    coeffs = np.zeros(width, dtype=complex)
+    coeffs[occupied] = rng.normal(size=len(occupied)) + 1j * rng.normal(size=len(occupied))
+    return FracQSeries(1, 1, start, coeffs)
+
+
+# complex coefficients low in the strip, where numpy's complex product
+# (with FMA) rounds c exp and exp c apart at a quarter to a third of the points
+_COMPLEX_CASES = {
+    "point-300": lambda: [FracQSeries(1, 1, 300, [1.5 - 2j])],
+    "dense-1": lambda: [_complex_coefficients(1, 400, np.arange(400))],
+    "sparse-300": lambda: [_complex_coefficients(300, 2048, [0, 5, 40, 700, 2047])],
+    "eta-twisted": lambda: [eta_series(200) * (0.6 - 0.8j)],
+}
 
 
 _UNDERFLOW_CASES = {
@@ -294,6 +311,15 @@ class TestKernelBits:
             reference = np.array([_per_point_value(series, complex(tau)) for tau in taus])
             assert np.array_equal(values, reference)
             # sign bits too: == does not tell +0 from -0
+            assert values.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_COMPLEX_CASES))
+    def test_complex_coefficients_bit_for_bit(self, case):
+        rng = np.random.default_rng(2000)
+        taus = rng.uniform(-1.5, 1.5, 2000) + 1j * rng.uniform(0.01, 0.3, 2000)
+        for series in _COMPLEX_CASES[case]():
+            values = series.evaluate_many(taus)
+            reference = np.array([_per_point_value(series, complex(tau)) for tau in taus])
             assert values.view(np.uint64).tobytes() == reference.view(np.uint64).tobytes()
 
     @pytest.mark.parametrize("case", sorted(_UNDERFLOW_CASES))
