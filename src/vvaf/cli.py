@@ -60,6 +60,8 @@ class RunConfig:
     def __post_init__(self):
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
 
     @staticmethod
     def from_text(text: str) -> "RunConfig":

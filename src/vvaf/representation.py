@@ -6,8 +6,11 @@ Euclidean word decomposition.  Subgroup representations reuse the same
 generator-image data restricted to the subgroup, whose descriptor labels
 right cosets (all built-in subgroup cases arise as restrictions).
 
-Representations are immutable after construction and evaluation is pure,
-so everything is safe for concurrent use.
+The generator images never change after construction.  A representation
+memoizes the powers of its translation image that evaluation forms, as
+read-only arrays, and publishes each new memo entry or list in a single
+assignment, so concurrent evaluation is safe and reads the bits of serial
+evaluation.
 """
 
 from __future__ import annotations
@@ -71,21 +74,80 @@ class Representation:
                 raise ValueError(f"generator image {name} is numerically singular")
         self.mat_s.setflags(write=False)
         self.mat_t.setflags(write=False)
+        self._t_order = None  # order of mat_t, 0 if infinite; found on the first t-letter
+        self._t_table = {}  # k -> mat_t^k, for 0 <= k < the order
+        self._t_squares = {}  # inverted? -> (a, a^2, a^4, ...), a = mat_t or its inverse
 
     def __repr__(self):
         return f"Representation(m={self.m}, group={self.group.name})"
 
     def evaluate(self, g: GroupElement) -> np.ndarray:
-        """Image of a group element, via the word decomposition."""
+        """Image of a group element, via the word decomposition.
+
+        When mat_t has a finite order r (at most 1000, checked to 1e-10), a
+        letter t^e is a lookup of mat_t^(e mod r), computed once by
+        ``np.linalg.matrix_power``, so its error does not grow with |e|.
+        Otherwise t^e is ``matrix_power``'s own product of the memoized
+        squarings of mat_t (of its inverse for e < 0), with its bits.  A
+        one-letter word may return a memoized, read-only array.
+        """
         if not self.group.contains(g):
             raise ValueError(f"element {g.entries()} is not in {self.group.name}")
         result = None
         for gen, exp in word_decompose(g).letters:
-            factor = self.mat_s if gen == "s" else np.linalg.matrix_power(self.mat_t, exp)
+            factor = self.mat_s if gen == "s" else self._t_power(exp)
             result = factor if result is None else np.matmul(result, factor)
         if result is None:
             result = np.eye(self.m, dtype=complex)
         return result
+
+    def _t_power(self, e: int) -> np.ndarray:
+        if self._t_order is None:
+            self._t_order = self._finite_t_order()
+        if self._t_order:
+            k = e % self._t_order
+            power = self._t_table.get(k)
+            if power is None:
+                power = _read_only(np.linalg.matrix_power(self.mat_t, k))
+                self._t_table[k] = power
+            return power
+        n = abs(e)
+        if n == 0:
+            return np.eye(self.m, dtype=complex)
+        cached = self._t_squares.get(e < 0)
+        squares = cached or (_read_only(np.linalg.inv(self.mat_t)) if e < 0 else self.mat_t,)
+        while len(squares) < n.bit_length():
+            squares = squares + (_read_only(np.matmul(squares[-1], squares[-1])),)
+        if squares is not cached:
+            self._t_squares[e < 0] = squares
+        # matrix_power's order of products: (a a) a for n = 3, else the
+        # squarings of the set bits, least significant first
+        if n == 3:
+            return np.matmul(squares[1], squares[0])
+        result = None
+        for j in range(n.bit_length()):
+            if n >> j & 1:
+                result = squares[j] if result is None else np.matmul(result, squares[j])
+        return result
+
+    def _finite_t_order(self) -> int:
+        """The order of mat_t, from the exponents of its eigenvalues; 0 if none is found."""
+        try:
+            exponents = [mu(lam) for lam in np.linalg.eigvals(self.mat_t)]
+        except ValueError:  # an eigenvalue off the unit circle
+            return 0
+        if not all(isinstance(x, Fraction) for x in exponents):
+            return 0
+        order = math.lcm(*(x.denominator for x in exponents))
+        if order > _MU_MAX_ORDER:
+            return 0
+        deviation = float(np.max(np.abs(np.linalg.matrix_power(self.mat_t, order) - np.eye(self.m))))
+        return order if deviation <= _RELATION_TOL else 0
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
 
 
 @dataclass(frozen=True)

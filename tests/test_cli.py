@@ -78,6 +78,11 @@ class TestRunConfig:
             RunConfig.from_text("format = xml\n")
         assert RunConfig.from_text("format = csv\n").format == "csv"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match=f"tolerance must be finite and positive, got {float(value)!r}"):
+            RunConfig.from_text(f"tolerance = {value}\n")
+
     def test_removed_quad_samples_key_rejected(self):
         # the key configured nothing; a config file naming it is refused
         with pytest.raises(ValueError, match="unknown config key 'quad_samples'"):
@@ -126,6 +131,24 @@ class TestSubcommands:
         assert run(["--config", str(config), "--out-dir", str(out), *argv]) == 2
         assert "alpha must be finite, got nan" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vvaf", "transform-check", "--builtin", "theta-eta", "--gamma", "s"],
+            ["lfunc", "fe-scan", "--builtin", "delta", "--s-grid", "5,6,7"],
+        ],
+        ids=["transform-check", "fe-scan"],
+    )
+    def test_bad_tolerance_in_config_is_usage_error(self, tmp_path, capsys, argv, value):
+        # tolerance = nan or -1 used to exit 1, a FAIL verdict
+        config = tmp_path / "run.cfg"
+        config.write_text(f"tolerance = {value}\n")
+        out = tmp_path / "out"
+        assert run(["--config", str(config), "--out-dir", str(out), *argv]) == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_transform_check_refuses_zero_samples(self, tmp_path, capsys):
         argv = ["--out-dir", str(tmp_path), "vvaf", "transform-check", "--builtin", "delta", "--gamma", "s", "--samples", "0"]

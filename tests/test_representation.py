@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -150,6 +152,90 @@ def _short_word_element(rng, max_exponent):
         exp = int(rng.integers(-max_exponent, max_exponent + 1))
         g = g * t_power(exp) * gen_s()
     return g
+
+
+# elements whose theta-eta images drifted off unitarity by 1.1e-10 when
+# rho(t)^e came from repeated squaring (words with t^356615 and t^364203)
+_LONG_T_ELEMENTS = [
+    GroupElement(411976815334, 281808245029, -991568965315, -678271930701),
+    GroupElement(-705863605075, -2117592753327, 221377842638, 664134135755),
+]
+_BIT_EXPONENTS = [e for n in range(1, 71) for e in (n, -n)] + [e for k in range(21) for e in (2**k, -(2**k))] + [6620]
+
+
+def _theta_eta_t_power_exact(e: int) -> np.ndarray:
+    """rho(t)^e of theta-eta from e mod 12 and e mod 24: diag(w6^e, w12^e X^e), X the swap."""
+    exact = np.zeros((3, 3), dtype=complex)
+    exact[0, 0] = np.exp(1j * np.pi * (e % 12) / 6)
+    exact[1:, 1:] = np.exp(-1j * np.pi * (e % 24) / 12) * (np.eye(2) if e % 2 == 0 else np.eye(2)[::-1])
+    return exact
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _mixed_elements() -> list:
+    rng = np.random.default_rng(71)
+    return [random_element(rng, entry_bound=10**9) for _ in range(40)] + [t_power(e) for e in (-6620, -3, 3, 25, 6620)]
+
+
+class TestTranslationPowers:
+    @pytest.mark.parametrize(
+        "e", [e for n in range(1, 31) for e in (n, -n)] + [6620, 364203, 10**6 + 1, 10**9 + 7, -(10**12) - 3]
+    )
+    def test_theta_eta_power_matches_exact_value(self, e):
+        gap = np.max(np.abs(builtin("theta-eta").evaluate(t_power(e)) - _theta_eta_t_power_exact(e)))
+        assert gap <= 4e-15
+
+    @pytest.mark.parametrize("g", _LONG_T_ELEMENTS, ids=["long-t-356615", "long-t-364203"])
+    def test_theta_eta_image_of_long_t_word_is_unitary(self, g):
+        image = builtin("theta-eta").evaluate(g)
+        assert np.max(np.abs(image @ image.conj().T - np.eye(3))) <= 1e-13
+
+    def test_finite_order_keeps_matrix_power_bits_below_the_order(self):
+        rho = builtin("theta-eta")  # rho(t) has order 24
+        for e in range(24):
+            assert _same_bits(rho.evaluate(t_power(e)), np.linalg.matrix_power(rho.mat_t, e)), e
+
+    @pytest.mark.parametrize("name", ["sym2", "nonpoly"])
+    def test_infinite_order_keeps_matrix_power_bits(self, name):
+        rho = builtin(name)
+        with np.errstate(over="ignore", invalid="ignore"):  # nonpoly's powers overflow from 2^11 on
+            for e in _BIT_EXPONENTS:
+                assert _same_bits(rho.evaluate(t_power(e)), np.linalg.matrix_power(rho.mat_t, e)), e
+
+    def test_induced_gamma5_images_stay_permutation_matrices(self):
+        group = gamma_n(5)
+        induced = induce(builtin("trivial", group=group), left_transversal(group))
+        for g in _mixed_elements():
+            image = induced.evaluate(g)
+            assert np.all((image == 0) | (image == 1))
+            assert np.all(image.sum(axis=0) == 1) and np.all(image.sum(axis=1) == 1)
+
+    @pytest.mark.parametrize("name, e", [("theta-eta", 5), ("theta-eta", -7), ("sym2", 4), ("sym2", -8192)])
+    def test_memoized_power_refuses_writes(self, name, e):
+        image = builtin(name).evaluate(t_power(e))
+        with pytest.raises(ValueError, match="read-only"):
+            image[0, 0] = 0
+
+    @pytest.mark.parametrize("name", ["theta-eta", "sym2"])
+    def test_fresh_memo_gives_serial_bits_in_any_order(self, name):
+        elements = _mixed_elements()
+        serial = [builtin(name).evaluate(g) for g in elements]
+        backwards = builtin(name)
+        reversed_images = [backwards.evaluate(g) for g in reversed(elements)][::-1]
+        assert all(_same_bits(a, b) for a, b in zip(reversed_images, serial))
+        shared = builtin(name)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the memo updates
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(lambda: [shared.evaluate(g) for g in elements]) for _ in range(4)]
+                runs = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(_same_bits(a, b) for images in runs for a, b in zip(images, serial))
 
 
 def _mu_by_search(angles):
