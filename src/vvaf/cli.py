@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,8 @@ class RunConfig:
             raise ValueError(f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if self.n_terms < 1:
+            raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
 
     @staticmethod
     def from_text(text: str) -> "RunConfig":
@@ -137,6 +139,11 @@ def _rep_from_args(args) -> tuple:
     return builtin(args.builtin, **params), {k: [v.real, v.imag] for k, v in params.items()}
 
 
+def _form_holding(args, config: RunConfig, nmax: int):
+    """The builtin form with its series truncated at max(n_terms, nmax + 8), so it holds exponents 0..nmax."""
+    return builtin_form(args.builtin, n_terms=max(config.n_terms, nmax + 8))
+
+
 # -- commands: each returns its artifacts and its exit code ------------------------
 
 
@@ -168,7 +175,7 @@ def _repr_growth(args, config: RunConfig) -> tuple:
 def _vvaf_coeffs(args, config: RunConfig) -> tuple:
     if args.N < 0:
         raise ValueError(f"nmax must be at least 0, got {args.N}")
-    X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
+    X = _form_holding(args, config, args.N)
     artifacts = {}
     skipped_log_powers = 0
     for i in range(X.m):
@@ -209,7 +216,7 @@ def _vvaf_transform_check(args, config: RunConfig) -> tuple:
 
 
 def _vvaf_growth(args, config: RunConfig) -> tuple:
-    X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
+    X = _form_holding(args, config, args.N)
     report = coefficient_growth_report(X, args.N, alpha=config.alpha)
     artifacts = {f"vvaf_growth_{args.builtin}.json": {"report": asdict(report)}}
     if config.format == "csv":
@@ -224,7 +231,7 @@ def _vvaf_growth(args, config: RunConfig) -> tuple:
 
 
 def _vvaf_meansq(args, config: RunConfig) -> tuple:
-    X = builtin_form(args.builtin, n_terms=max(config.n_terms, args.N + 8))
+    X = _form_holding(args, config, args.N)
     result = mean_square(X, args.N, alpha=config.alpha)
     payload = {key: result[key] for key in ("slope", "target", "verdict")}
     artifacts = {f"vvaf_meansq_{args.builtin}.json": payload}
@@ -236,7 +243,7 @@ def _vvaf_meansq(args, config: RunConfig) -> tuple:
 
 
 def _lfunc_eval(args, config: RunConfig) -> tuple:
-    X = builtin_form(args.builtin, n_terms=config.n_terms)
+    X = _form_holding(args, config, config.n_terms)
     methods = ("truncated-sum", "split-mellin") if args.method == "both" else (args.method,)
     rows = {method: [] for method in methods}
     for s in _parse_complex_list(args.s):
@@ -270,7 +277,7 @@ def _lfunc_fescan(args, config: RunConfig) -> tuple:
 
 def _expsum_scan(args, config: RunConfig) -> tuple:
     cutoffs = [int(part) for part in args.cutoffs.split(",")]
-    X = builtin_form(args.builtin, n_terms=max(config.n_terms, max(cutoffs) + 8))
+    X = _form_holding(args, config, max(cutoffs))
     scan = bound_scan(X, [float(t) for t in args.thetas.split(",")], cutoffs, alpha=config.alpha)
     rows = []
     for a, theta in enumerate(scan.thetas):
@@ -378,9 +385,7 @@ def run(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = RunConfig.from_text(Path(args.config).read_text()) if args.config else RunConfig()
-        for field in _COMMON:
-            if getattr(args, field) is not None:
-                setattr(config, field, getattr(args, field))
+        config = replace(config, **{field: getattr(args, field) for field in _COMMON if getattr(args, field) is not None})
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts, code = args.func(args, config)

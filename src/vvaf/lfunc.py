@@ -75,61 +75,48 @@ def _cusp_argument(X: VVAF, s) -> complex:
 
 
 def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
-    """One pass over the coefficients of every slot, and the truncation error.
+    """The (m, J + 1) array of slot sums, the truncation error and whether it is rigorous.
 
-    Returns the per-slot sums (i, j, sum over n <= n_terms) in slot order,
-    their per-component totals, the error estimate and whether it is
-    rigorous.
-
-    With sigma = ``X.coefficient_exponent(alpha)``, for Re s > sigma + 1
-    the error is the tail bound of the growth theorem (see
-    ``dirichlet_L``).  Elsewhere it is a heuristic: the
-    largest movement of the partial sums over the second half,
-    max over N/2 <= M <= N of |P (S_N - S_M)|, with S_M the per-component
-    partial sums through index M.  An oscillating tail can exceed the
-    movement between two fixed cutoffs, which is why the whole second half
-    is scanned.  Nothing proves this estimate; it is measured against the
-    split-Mellin value over a grid near the critical line (see the tests).
-    Refuses a cutoff below one term.
+    Entry [i, j] sums component i's log-power-j coefficients over n <= n_terms,
+    each divided by (n + mu_i)^(s + j); a slot that does not exist sums to 0.
+    The error is the one ``dirichlet_L`` describes: the growth theorem's tail
+    bound for Re s > sigma + 1, with sigma = ``X.coefficient_exponent(alpha)``,
+    and elsewhere the largest movement of the partial sums over the second
+    half, all of it scanned, since an oscillating tail can exceed the movement
+    between two fixed cutoffs.  Refuses a cutoff below one term.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be at least 1, got {n_terms}")
     table = X.coefficient_table(n_terms)
-    basis_values = np.zeros(X.m, dtype=complex)
-    slot_sums = []
-    max_ratio = 0.0
+    shifts = s + np.arange(table.shape[0])[:, None]
     sigma = X.coefficient_exponent(alpha)
     rigorous = s.real > sigma + 1.0
-    half = n_terms // 2
-    # basis_tails[i, t] = S_N - S_(half + t) of component i, for half <= half + t < N
-    basis_tails = np.zeros((X.m, n_terms - half), dtype=complex)
-    for i, (comp, off) in enumerate(zip(X.basis_components, X.mu_offsets)):
+    sums = np.empty((X.m, table.shape[0]), dtype=complex)
+    last = []  # per component, the terms of indices N/2 + 1 .. N
+    max_ratio = 0.0
+    for i, off in enumerate(X.mu_offsets):
         ns = np.arange(n_terms + 1) + float(off)
-        good = ns > 0
-        ns = ns[good]
-        for j in comp.terms:
-            coeffs = table[j, :, i][good]
-            terms = coeffs * ns ** (-(s + j))
-            full = np.sum(terms)
-            slot_sums.append((i, j, full))
-            basis_values[i] += full
-            if rigorous:
-                nz = np.abs(coeffs) > 0
-                if np.any(nz):
-                    max_ratio = max(max_ratio, float(np.max(np.abs(coeffs[nz]) / ns[nz] ** sigma)))
-            else:
-                # only index 0 can be dropped, so the last N - half terms are
-                # those of indices half+1 .. N; sum them from the end
-                last = terms[len(terms) - (n_terms - half) :]
-                basis_tails[i] += np.cumsum(last[::-1])[::-1]
+        first = int(np.count_nonzero(ns <= 0))  # the leading indices with n + mu_i <= 0
+        ns = ns[first:]
+        coeffs = table[:, first:, i]
+        terms = coeffs * ns**-shifts
+        sums[i] = terms.sum(axis=-1)
+        if rigorous:
+            nz = np.abs(coeffs) > 0
+            ratios = np.abs(coeffs[nz]) / np.broadcast_to(ns, coeffs.shape)[nz] ** sigma
+            max_ratio = max(max_ratio, float(np.max(ratios, initial=0.0)))
+        else:
+            last.append(terms[:, n_terms // 2 - n_terms :])
     if rigorous:
         # |c_n| <= C n^sigma bounds the tail by C integral_N^inf x^(sigma - Re s) dx
         scale = float(np.max(np.abs(X.P))) * max(1.0, X.m)
         error = max_ratio * n_terms ** (sigma - s.real + 1.0) / (s.real - sigma - 1.0) * scale
     else:
-        # heuristic: largest movement of the partial sums over the second half
-        error = float(np.max(np.abs(X.P @ basis_tails), initial=0.0))
-    return slot_sums, basis_values, error, rigorous
+        # heuristic: largest movement of the partial sums over the second half;
+        # tails[i, t] = S_N - S_(N/2 + t) of component i
+        tails = np.cumsum(np.array(last)[..., ::-1], axis=-1)[..., ::-1].sum(axis=1)
+        error = float(np.max(np.abs(X.P @ tails), initial=0.0))
+    return sums, error, rigorous
 
 
 def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) -> LValue:
@@ -147,41 +134,30 @@ def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) ->
     abscissa, but nothing proves that it does.
     """
     s = _cusp_argument(X, s)
-    _, basis_values, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
-    return LValue(
-        s=s,
-        value=X.P @ basis_values,
-        method="truncated-sum",
-        error=error,
-        rigorous=rigorous,
-        n_terms=n_terms,
-    )
+    sums, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
+    value = X.P @ sums.sum(axis=-1)
+    return LValue(s=s, value=value, method="truncated-sum", error=error, rigorous=rigorous, n_terms=n_terms)
 
 
 def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) -> LValue:
     """Gamma-completed value assembled from the truncated coefficient sum.
 
     Admissible forms get (2 pi)^-s Gamma(s) L(s); logarithmic slots carry
-    the alternating-sign shifted Gamma factors.
+    the alternating-sign shifted Gamma factors (-1)^j Gamma(s + j).
     """
     s = _cusp_argument(X, s)
     # Imported here so that loading the package does not load scipy.
     from scipy.special import gamma as complex_gamma
 
-    slot_sums, _, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
-    basis_values = np.zeros(X.m, dtype=complex)
-    for i, j, full in slot_sums:
-        basis_values[i] += (-1) ** j * complex_gamma(s + j) * full
-    value = (2.0 * math.pi) ** (-s) * (X.P @ basis_values)
-    gamma_scale = abs((2.0 * math.pi) ** (-s) * complex_gamma(s))
-    return LValue(
-        s=s,
-        value=value,
-        method="truncated-sum",
-        error=error * gamma_scale,
-        rigorous=rigorous,
-        n_terms=n_terms,
-    )
+    sums, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
+    weights = [(-1) ** j * complex_gamma(s + j) for j in range(sums.shape[1])]
+    scale = (2.0 * math.pi) ** (-s)
+    # products of numpy scalars, weight times sum: numpy's array complex
+    # product fuses multiply-adds where the CPU has them and can round the
+    # last bit otherwise
+    value = scale * (X.P @ np.array([sum(w * x for w, x in zip(weights, row)) for row in sums]))
+    error *= abs(scale * weights[0])  # weights[0] is Gamma(s)
+    return LValue(s=s, value=value, method="truncated-sum", error=error, rigorous=rigorous, n_terms=n_terms)
 
 
 def _decay_rate(X: VVAF) -> float:

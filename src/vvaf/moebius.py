@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 __all__ = [
     "INF",
@@ -168,17 +168,16 @@ def j_factor(g: GroupElement, tau) -> complex:
 
 @dataclass(frozen=True)
 class Word:
-    """A reduced word in the generators s and t.
+    """A word in the generators s and t, kept as ``word_decompose`` emits it.
 
-    Letters are (generator, exponent) pairs; adjacent letters never share a
-    generator, t-exponents are nonzero and s-exponents are always 1
-    (s has order two in PSL2(Z), so negative powers are folded away).
+    Letters are (generator, exponent) pairs, and the Euclidean reduction
+    leaves them reduced: s and t alternate, t-exponents are nonzero and
+    s-exponents are 1.  Only its first round can have n = 0 (no t-letter
+    is emitted then); every later round starts from |a/c| >= 2, so its
+    t-exponent is nonzero.  The letters are neither checked nor reduced.
     """
 
     letters: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _reduce_letters(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -191,26 +190,6 @@ class Word:
             else:
                 g = g * t_power(exp)
         return g
-
-
-def _reduce_letters(letters: Iterable) -> tuple:
-    """Merge adjacent same-generator letters and drop trivial ones."""
-    out: list = []
-    for gen, exp in letters:
-        exp = int(exp)
-        if gen == "s":
-            exp = exp % 2  # s^2 = 1 in PSL2(Z)
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            # ``out`` is reduced, so replacing or popping its top keeps it reduced
-            merged = out[-1][1] + exp if gen == "t" else (out[-1][1] + exp) % 2
-            out.pop()
-            if merged:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
-    return tuple(out)
 
 
 def word_decompose(g: GroupElement) -> Word:

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from vvaf import cli
 from vvaf.cli import RunConfig, run
-from vvaf.forms import delta_form
+from vvaf.forms import BUILTIN_FORMS, delta_form
 from vvaf.lfunc import completed_dirichlet_L
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,6 +83,13 @@ class TestRunConfig:
     def test_tolerance_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match=f"tolerance must be finite and positive, got {float(value)!r}"):
             RunConfig.from_text(f"tolerance = {value}\n")
+
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_n_terms_below_one_refused(self, value):
+        with pytest.raises(ValueError, match=f"n_terms must be at least 1, got {value}$"):
+            RunConfig.from_text(f"n_terms = {value}\n")
+        with pytest.raises(ValueError, match=f"n_terms must be at least 1, got {value}$"):
+            RunConfig(n_terms=value)
 
     def test_removed_quad_samples_key_rejected(self):
         # the key configured nothing; a config file naming it is refused
@@ -261,7 +269,40 @@ class TestSubcommands:
     def test_lfunc_eval_refuses_fewer_than_one_term(self, tmp_path, capsys):
         argv = ["--out-dir", str(tmp_path), "lfunc", "eval", "--builtin", "delta", "--s", "8", "--n-terms", "-3"]
         assert run(argv) == 2
-        assert "need at least one term" in capsys.readouterr().err
+        assert "n_terms must be at least 1, got -3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repr", "check", "--builtin", "theta-eta"],
+            ["vvaf", "coeffs", "--builtin", "delta", "-N", "5"],
+            ["expsum", "scan", "--builtin", "delta", "--cutoffs", "10"],
+        ],
+        ids=["repr-check", "vvaf-coeffs", "expsum-scan"],
+    )
+    def test_n_terms_flag_checked_like_config_key(self, tmp_path, capsys, argv, where):
+        # flags are merged into the config through its constructor, so every
+        # command refuses --n-terms 0 by name, as it refuses n_terms = 0 in a file
+        flag = ["--n-terms", "0"]
+        out = tmp_path / "out"
+        full = ["--out-dir", str(out), *flag, *argv] if where == "before" else ["--out-dir", str(out), *argv, *flag]
+        assert run(full) == 2
+        assert "n_terms must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_replace_config_file_values(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n_terms = 80\nseed = 3\n")
+        out = tmp_path / "out"
+        base = ["--config", str(config), "--out-dir", str(out), "repr", "check", "--builtin", "sym2"]
+        # a valid file with an invalid flag: the merged config is what is checked
+        assert run([*base, "--n-terms", "0"]) == 2
+        assert "n_terms must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert run([*base, "--seed", "5"]) == 0
+        assert json.loads(read(out / "repr_check_sym2.json"))["seed"] == 5
 
     def test_vvaf_growth_csv_writes_coefficient_norms(self, tmp_path):
         from vvaf.forms import sym2_log_form
@@ -319,6 +360,44 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(read(tmp_path / "repr_check_sym2.json"))
         assert payload["seed"] == 3
+
+
+# the arguments that run each form subcommand at a small size
+FORM_COMMAND_ARGS = {
+    ("vvaf", "coeffs"): ["-N", "20"],
+    ("vvaf", "transform-check"): ["--gamma", "s", "--gamma", "t", "--samples", "3"],
+    ("vvaf", "growth"): ["-N", "30"],
+    ("vvaf", "meansq"): ["-N", "30"],
+    ("lfunc", "eval"): ["--s", "9", "--method", "both"],
+    ("lfunc", "fe-scan"): ["--s-grid", "5,6"],
+    ("expsum", "scan"): ["--cutoffs", "10,20"],
+}
+
+
+class TestEveryFormCommand:
+    def test_table_covers_every_form_subcommand(self):
+        form_commands = {(group, action) for group, action, arguments, _ in cli._COMMANDS if cli._FORM in arguments}
+        assert form_commands == set(FORM_COMMAND_ARGS)
+
+    @pytest.mark.parametrize("form", sorted(BUILTIN_FORMS))
+    @pytest.mark.parametrize("command", sorted(FORM_COMMAND_ARGS), ids=lambda c: "-".join(c))
+    def test_runs_or_refuses_by_name(self, tmp_path, capsys, form, command):
+        # 0 or 1 (a verdict) on every built-in form; 2 only where a form has no
+        # L-values, the non-cusp theta-eta
+        argv = [*command, "--builtin", form, *FORM_COMMAND_ARGS[command], "--n-terms", "40", "--out-dir", str(tmp_path)]
+        code = run(argv)
+        err = capsys.readouterr().err
+        if form == "theta-eta" and command[0] == "lfunc":
+            assert code == 2
+            assert "L-values are defined here for cusp forms only" in err
+            assert list(tmp_path.iterdir()) == []
+            return
+        assert code in (0, 1), err
+        names = [path.name for path in tmp_path.iterdir()]
+        assert names
+        for name in names:
+            if name.endswith(".json"):
+                assert strict_json(read(tmp_path / name))["builtin"] == form
 
 
 class TestStartup:

@@ -41,6 +41,48 @@ def _fe_residuals(X: VVAF, s: complex) -> tuple:
     return plus, minus
 
 
+def _per_slot_reference(X: VVAF, s: complex, n_terms: int, alpha: float = 0.0) -> tuple:
+    """Reference for the two Dirichlet entry points: one sum per (component, log power) slot.
+
+    The loop the (m, J + 1) array of sums replaced: per slot, a 1-d pairwise
+    sum and a suffix cumulative sum, accumulated into per-component totals.
+    Returns ((value, error) of ``dirichlet_L``, (value, error) of
+    ``completed_dirichlet_L``, rigorous).
+    """
+    s = complex(s)
+    table = X.coefficient_table(n_terms)
+    plain = np.zeros(X.m, dtype=complex)
+    weighted = np.zeros(X.m, dtype=complex)
+    max_ratio = 0.0
+    sigma = X.coefficient_exponent(alpha)
+    rigorous = s.real > sigma + 1.0
+    half = n_terms // 2
+    tails = np.zeros((X.m, n_terms - half), dtype=complex)
+    for i, (comp, off) in enumerate(zip(X.basis_components, X.mu_offsets)):
+        ns = np.arange(n_terms + 1) + float(off)
+        good = ns > 0
+        ns = ns[good]
+        for j in comp.terms:
+            coeffs = table[j, :, i][good]
+            terms = coeffs * ns ** (-(s + j))
+            full = np.sum(terms)
+            plain[i] += full
+            weighted[i] += (-1) ** j * complex_gamma(s + j) * full
+            nz = np.abs(coeffs) > 0
+            if rigorous and np.any(nz):
+                max_ratio = max(max_ratio, float(np.max(np.abs(coeffs[nz]) / ns[nz] ** sigma)))
+            elif not rigorous:
+                tails[i] += np.cumsum(terms[len(terms) - (n_terms - half) :][::-1])[::-1]
+    if rigorous:
+        scale = float(np.max(np.abs(X.P))) * max(1.0, X.m)
+        error = max_ratio * n_terms ** (sigma - s.real + 1.0) / (s.real - sigma - 1.0) * scale
+    else:
+        error = float(np.max(np.abs(X.P @ tails), initial=0.0))
+    completed = (2.0 * math.pi) ** (-s) * (X.P @ weighted)
+    completed_error = error * abs((2.0 * math.pi) ** (-s) * complex_gamma(s))
+    return (X.P @ plain, error), (completed, completed_error), rigorous
+
+
 def _non_cusp_form() -> VVAF:
     return VVAF(0, builtin("trivial"), [FracQSeries(1, 1, 0, [1.0], order=50)])
 
@@ -112,6 +154,41 @@ class TestDirichlet:
         # outside the half-plane of the tail bound
         with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha!r}"):
             func(delta_form(300), 8, 100, alpha=alpha)
+
+
+class TestSlotSums:
+    """Both Dirichlet entry points keep the bits of the per-slot loop."""
+
+    @staticmethod
+    def _bits(value, error) -> list:
+        return [float(x).hex() for z in value for x in (z.real, z.imag)] + [float(error).hex()]
+
+    @pytest.mark.parametrize("name", ["delta", "eta4-theta-eta", "sym2-log"])
+    def test_builtin_forms_match_per_slot_loop(self, name):
+        X = builtin_form(name, n_terms=300)
+        for s in (8, 7.2, 9, 13, 6 + 3j, 7.9 + 1.3j, 5 - 2j, 0.5 + 0.4j, 10 + 10j):
+            for n_terms in (1, 2, 7, 151, 290):
+                for alpha in (0.0, 0.5):
+                    plain, completed, rigorous = _per_slot_reference(X, s, n_terms, alpha)
+                    got = dirichlet_L(X, s, n_terms=n_terms, alpha=alpha)
+                    assert self._bits(got.value, got.error) == self._bits(*plain)
+                    got_completed = completed_dirichlet_L(X, s, n_terms=n_terms, alpha=alpha)
+                    assert self._bits(got_completed.value, got_completed.error) == self._bits(*completed)
+                    assert got.rigorous == got_completed.rigorous == rigorous
+
+    def test_components_with_different_log_powers(self):
+        # component 0 has log powers 0 and 1, the others only 0: their
+        # missing slot is a zero entry of the sums array
+        rep = builtin("sym2")
+        base0 = FracQSeries(1, 1, 1, [1.0, 0.25], order=60)
+        base1 = FracQSeries(1, 1, 2, [0.5], order=60)
+        X = VVAF(4, rep, [LogQExpansion({0: base0, 1: base1}), LogQExpansion({0: base1}), LogQExpansion({0: base0})])
+        for s in (5.0, 2.5 + 1j, 1.2):
+            plain, completed, _ = _per_slot_reference(X, s, 50)
+            got = dirichlet_L(X, s, n_terms=50)
+            assert self._bits(got.value, got.error) == self._bits(*plain)
+            got = completed_dirichlet_L(X, s, n_terms=50)
+            assert self._bits(got.value, got.error) == self._bits(*completed)
 
 
 class TestCompleted:

@@ -196,34 +196,33 @@ class TestWordDecompose:
             g2 = random_element(rng, entry_bound=1000)
             assert word_decompose(g1 * g2).evaluate() == g1 * g2
 
-    def test_word_reduction_no_adjacent_repeats(self):
-        w = Word((("t", 2), ("t", 3), ("s", 1), ("s", 1), ("t", -5)))
-        assert w.letters == ()  # t^5 s s t^-5 collapses entirely
-        w2 = Word((("s", -1), ("t", 0), ("s", 1)))
-        assert w2.letters == ()
+    @staticmethod
+    def _assert_reduced(g):
+        # the word evaluates to g, s and t alternate, t-exponents are nonzero
+        # and s-exponents are 1
+        word = word_decompose(g)
+        assert isinstance(word, Word) and word.evaluate() == g
+        letters = word.letters
+        assert all(a[0] != b[0] for a, b in zip(letters, letters[1:])), letters
+        assert all(exp != 0 if gen == "t" else (gen, exp) == ("s", 1) for gen, exp in letters), letters
 
-    def test_word_reduction_random_letters(self):
-        # reduction keeps the element and leaves no two adjacent letters on one generator
-        rng = np.random.default_rng(23)
-        for _ in range(2000):
-            letters = [
-                (str(rng.choice(["s", "t"])), int(rng.integers(-3, 4)))
-                for _ in range(int(rng.integers(0, 13)))
-            ]
-            product = identity()
-            for gen, exp in letters:
-                if gen == "t":
-                    product = product * t_power(exp)
-                else:
-                    # s^e as a product of |e| copies of s or of its inverse
-                    letter = gen_s() if exp >= 0 else gen_s().inverse()
-                    for _ in range(abs(exp)):
-                        product = product * letter
-            word = Word(tuple(letters))
-            assert word.evaluate() == product
-            reduced = word.letters
-            assert all(a[0] != b[0] for a, b in zip(reduced, reduced[1:]))
-            assert all(exp != 0 and (gen == "t" or exp == 1) for gen, exp in reduced)
+    def test_words_of_small_elements_are_reduced(self):
+        # every element with entries of absolute value at most 6, the identity
+        # (the empty word) and the translations among them
+        r = range(-6, 7)
+        elements = {GroupElement(a, b, c, d) for a in r for b in r for c in r for d in r if a * d - b * c == 1}
+        assert identity() in elements and gen_s() in elements and t_power(-6) in elements
+        assert word_decompose(identity()).letters == ()
+        for g in elements:
+            self._assert_reduced(g)
+
+    @pytest.mark.parametrize("bound", [3, 100, 10**6, 10**12])
+    def test_words_of_random_elements_are_reduced(self, bound):
+        rng = np.random.default_rng(bound)
+        for _ in range(1000):
+            g = random_element(rng, entry_bound=bound)
+            self._assert_reduced(g)
+            self._assert_reduced(g * random_element(rng, entry_bound=bound))
 
 
 class TestCusps:
