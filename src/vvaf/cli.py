@@ -64,6 +64,8 @@ class RunConfig:
             raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         if self.n_terms < 1:
             raise ValueError(f"n_terms must be at least 1, got {self.n_terms}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     @staticmethod
     def from_text(text: str) -> "RunConfig":

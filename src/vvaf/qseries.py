@@ -54,12 +54,35 @@ def _upper_half_plane(taus) -> np.ndarray:
     return taus
 
 
-def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) + len(b) > _BIG_CONV:
-        from scipy.signal import fftconvolve
+def _fft_length(n: int) -> int:
+    """The smallest m >= n with no prime factor above 11: pocketfft's fast complex length."""
+    m = n
+    # below 2**64, m divides (2 * 3 * 5 * 7 * 11)**64 exactly when it has no larger prime factor
+    while pow(2310, 64, m):
+        m += 1
+    return m
 
-        return fftconvolve(a, b)
-    return np.convolve(a, b)
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full linear convolution of two complex coefficient arrays.
+
+    Operands with at most ``_BIG_CONV`` slots between them go through
+    ``np.convolve``.  Longer ones are multiplied as ``numpy.fft``
+    transforms at ``_fft_length(len(a) + len(b) - 1)``, the length that
+    ``scipy.signal.fftconvolve`` pads a complex product to, so the result
+    has ``fftconvolve``'s bits; a squaring (``b is a``) transforms once.
+    As in ``fftconvolve``, an operand of length 1 is the plain product
+    ``a * b``, with no transform.
+    """
+    if len(a) + len(b) <= _BIG_CONV:
+        return np.convolve(a, b)
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    m = _fft_length(n)
+    fa = np.fft.fft(a, m)
+    fb = fa if b is a else np.fft.fft(b, m)
+    return np.fft.ifft(fa * fb, m)[:n]
 
 
 class FracQSeries:

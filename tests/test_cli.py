@@ -91,6 +91,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"n_terms must be at least 1, got {value}$"):
             RunConfig(n_terms=value)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1$"):
+            RunConfig.from_text("seed = -1\n")
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1$"):
+            RunConfig(seed=-1)
+
     def test_removed_quad_samples_key_rejected(self):
         # the key configured nothing; a config file naming it is refused
         with pytest.raises(ValueError, match="unknown config key 'quad_samples'"):
@@ -292,6 +298,21 @@ class TestSubcommands:
         assert "n_terms must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_usage_error_before_out_dir(self, tmp_path, capsys, where):
+        # numpy's sampler used to refuse it unnamed, after the directory was made
+        out = tmp_path / "out"
+        argv = ["--out-dir", str(out), "repr", "growth", "--builtin", "nonpoly", "--param", "a=1j"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("seed = -1\n")
+            argv = ["--config", str(config), *argv]
+        assert run(argv) == 2
+        assert "seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_replace_config_file_values(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("n_terms = 80\nseed = 3\n")
@@ -413,6 +434,26 @@ class TestStartup:
         result = json.loads(proc.stdout)
         assert result == {"code": 0, "scipy": []}
         assert (tmp_path / "coeffs_theta-eta.json").exists()
+
+    def test_fft_products_load_no_scipy(self, tmp_path):
+        # eta4-theta-eta at N = 5000 squares operands past _BIG_CONV, so its
+        # build takes the FFT branch of _convolve, which is numpy.fft only
+        argv = ["--out-dir", str(tmp_path), "vvaf", "growth", "--builtin", "eta4-theta-eta", "-N", "5000"]
+        proc = fresh_python(
+            "import json, sys\n"
+            "from vvaf import qseries\n"
+            "big = []\n"
+            "convolve = qseries._convolve\n"
+            "def spy(a, b):\n"
+            "    big.append(len(a) + len(b) > qseries._BIG_CONV)\n"
+            "    return convolve(a, b)\n"
+            "qseries._convolve = spy\n"
+            "from vvaf.cli import run\n"
+            f"code = run({argv!r})\n"
+            "print(json.dumps({'code': code, 'fft': any(big), 'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy']}))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"code": 0, "fft": True, "scipy": []}
 
     def test_truncated_sum_eval_in_fresh_process(self, tmp_path):
         argv = ["--out-dir", str(tmp_path), "--n-terms", "400", "lfunc", "eval", "--builtin", "delta", "--s", "8",

@@ -206,6 +206,44 @@ class TestThetaEtaOracle:
         assert np.max(np.abs(got - reference) / reference) < 1e-12
 
 
+# Kohnen and Zagier, "Modular forms with rational periods" (1984): the
+# period polynomial of Delta makes Lambda(3)/Lambda(1), Lambda(5)/Lambda(1),
+# Lambda(4)/Lambda(2) and Lambda(6)/Lambda(2) rational
+_DELTA_PERIOD_RATIOS = {
+    (3, 1): Fraction(691, 1620),
+    (5, 1): Fraction(691, 2520),
+    (4, 2): Fraction(25, 48),
+    (6, 2): Fraction(5, 12),
+}
+
+
+class TestPeriodRatios:
+    @pytest.fixture(scope="class")
+    def values(self):
+        return {s: completed_L(delta_form(400), s) for s in range(1, 7)}
+
+    @pytest.mark.parametrize("pair", list(_DELTA_PERIOD_RATIOS), ids=lambda pair: f"L{pair[0]}/L{pair[1]}")
+    def test_ratio_within_todays_error(self, values, pair):
+        # the Mellin cutoff leaves the ratios off by up to 1.0e-12 relative;
+        # a change that moves them further fails here
+        top, bottom = (values[s].value[0] for s in pair)
+        assert abs(top / bottom / float(_DELTA_PERIOD_RATIOS[pair]) - 1) < 5e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the Mellin cutoff ignores the weight y^(Re s - 1), and the reported error, a difference of two "
+        "rules with the same cutoff, cannot see it (ROADMAP item 9 step A)",
+    )
+    @pytest.mark.parametrize("pair", list(_DELTA_PERIOD_RATIOS), ids=lambda pair: f"L{pair[0]}/L{pair[1]}")
+    def test_ratio_within_reported_error(self, values, pair):
+        # first-order propagation of each value's reported error into the
+        # ratio, plus two roundings: the division and the rational's float
+        top, bottom = (values[s] for s in pair)
+        ratio = top.value[0] / bottom.value[0]
+        budget = top.error / abs(top.value[0]) + bottom.error / abs(bottom.value[0]) + 2 * np.finfo(float).eps
+        assert abs(ratio / float(_DELTA_PERIOD_RATIOS[pair]) - 1) <= budget
+
+
 class TestEichlerOracle:
     def test_shift_against_brute_force(self):
         from vvaf.moebius import eichler_shift, random_element

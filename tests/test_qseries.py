@@ -6,6 +6,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 from scipy.special import gamma as Gamma
 
 from vvaf import lfunc, qseries
@@ -197,6 +199,87 @@ class TestCombine:
         # unknown tail of b (from exponent 5) times the lead of a (1): order 6
         assert prod.order == Fraction(6)
         assert max(e for e, _ in prod.occupied()) < prod.order
+
+
+# numpy 2 runs the C++ pocketfft that scipy.fft runs, so the FFT branch of
+# _convolve has fftconvolve's bits.  numpy 1.x runs an older C pocketfft
+# whose butterflies round differently; there each entry of a product agrees
+# only to the transforms' rounding error, about eps log2(m) |a|_2 |b|_2
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 24.1),
+# which is under 2e-14 of the largest coefficient of the forms built here.
+_SAME_POCKETFFT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
+_FORM_TABLE_TOL = 1e-12  # relative to the largest coefficient, for numpy 1.x only
+
+
+def _convolve_by_fftconvolve(a, b):
+    """``_convolve`` as it was, with the long products from scipy.signal.fftconvolve."""
+    if len(a) + len(b) > qseries._BIG_CONV:
+        return fftconvolve(a, b)
+    return np.convolve(a, b)
+
+
+def _assert_same_product(ours, reference, a, b):
+    assert ours.dtype == reference.dtype and ours.shape == reference.shape
+    if _SAME_POCKETFFT:
+        assert ours.tobytes() == reference.tobytes()
+    else:
+        m = next_fast_len(len(a) + len(b) - 1, real=False)
+        bound = np.finfo(float).eps * math.log2(m) * np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.abs(ours - reference).max() <= bound
+
+
+class TestFFTConvolution:
+    @staticmethod
+    def _random(rng, n):
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def test_length_is_scipys_fast_complex_length(self):
+        assert [qseries._fft_length(n) for n in range(1, 40001)] == [
+            next_fast_len(n, real=False) for n in range(1, 40001)
+        ]
+
+    @pytest.mark.parametrize("lengths", [(1, 9000), (9000, 1), (1, 8192), (8192, 1)])
+    def test_length_one_operand_is_the_plain_product(self, lengths):
+        # no transform, so these bits hold on every numpy
+        rng = np.random.default_rng(11)
+        a, b = (self._random(rng, n) for n in lengths)
+        product = qseries._convolve(a, b)
+        assert product.tobytes() == (a * b).tobytes() == fftconvolve(a, b).tobytes()
+
+    def test_switch_at_big_conv(self):
+        rng = np.random.default_rng(12)
+        a, b = self._random(rng, 4096), self._random(rng, 4096)
+        assert qseries._convolve(a, b).tobytes() == np.convolve(a, b).tobytes()
+        b = self._random(rng, 4097)
+        _assert_same_product(qseries._convolve(a, b), fftconvolve(a, b), a, b)
+
+    def test_random_lengths_match_the_replaced_product(self):
+        rng = np.random.default_rng(13)
+        for la, lb in rng.integers(1, 12001, size=(60, 2)).tolist():
+            a, b = self._random(rng, la), self._random(rng, lb)
+            _assert_same_product(qseries._convolve(a, b), _convolve_by_fftconvolve(a, b), a, b)
+
+    def test_squaring_transforms_once_with_the_same_bits(self):
+        rng = np.random.default_rng(14)
+        a = self._random(rng, 6001)
+        squared = qseries._convolve(a, a)
+        assert squared.tobytes() == qseries._convolve(a, a.copy()).tobytes()
+        _assert_same_product(squared, fftconvolve(a, a), a, a)
+
+    @pytest.mark.parametrize("factory, n_terms", [(delta_form, 9000), (eta4_theta_eta_form, 5100)])
+    def test_long_forms_keep_the_fftconvolve_coefficients(self, monkeypatch, factory, n_terms):
+        build = factory.__wrapped__  # past the cache, so both builds run
+        ours = build(n_terms)
+        monkeypatch.setattr(qseries, "_convolve", _convolve_by_fftconvolve)
+        reference = build(n_terms)
+        table, reference_table = ours.basis_coefficients(n_terms - 1), reference.basis_coefficients(n_terms - 1)
+        if _SAME_POCKETFFT:
+            for series, expected in zip(_stored_series(ours), _stored_series(reference)):
+                assert (series.D, series.start) == (expected.D, expected.start)
+                assert series.coeffs.tobytes() == expected.coeffs.tobytes()
+            assert table.tobytes() == reference_table.tobytes()
+        else:
+            assert np.abs(table - reference_table).max() <= _FORM_TABLE_TOL * np.abs(reference_table).max()
 
 
 class TestEvaluation:
