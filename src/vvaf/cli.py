@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -128,16 +129,22 @@ def _parse_gamma(text: str) -> GroupElement:
     return GroupElement(*parts)
 
 
-def _parse_complex_list(text: str) -> list:
-    return [complex(part.strip().replace("i", "j")) for part in text.split(",")]
+def _parse_complex(flag: str, item: str) -> complex:
+    """One complex argument of ``flag``, such as 6+3i, (6+3i) or 1j: the i that ends the number is read as j."""
+    try:
+        return complex(re.sub(r"i(\s*\)?\s*)$", r"j\1", item))
+    except ValueError:
+        raise ValueError(f"{flag}: {item!r} is not a complex number") from None
 
 
 def _rep_from_args(args) -> tuple:
     """The builtin representation and its parameters as [re, im] pairs."""
     params = {}
     for item in args.param or []:
-        key, _, value = item.partition("=")
-        params[key] = complex(value.replace("i", "j"))
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"--param: {item!r} is not key=value")
+        params[key] = _parse_complex("--param", value)
     return builtin(args.builtin, **params), {k: [v.real, v.imag] for k, v in params.items()}
 
 
@@ -248,7 +255,7 @@ def _lfunc_eval(args, config: RunConfig) -> tuple:
     X = _form_holding(args, config, config.n_terms)
     methods = ("truncated-sum", "split-mellin") if args.method == "both" else (args.method,)
     rows = {method: [] for method in methods}
-    for s in _parse_complex_list(args.s):
+    for s in [_parse_complex("--s", part) for part in args.s.split(",")]:
         for method in methods:
             if method == "truncated-sum":
                 value = completed_dirichlet_L(X, s, n_terms=config.n_terms, alpha=config.alpha)
@@ -262,7 +269,8 @@ def _lfunc_eval(args, config: RunConfig) -> tuple:
 
 def _lfunc_fescan(args, config: RunConfig) -> tuple:
     X = builtin_form(args.builtin, n_terms=config.n_terms)
-    result = functional_equation_sign(X, _parse_complex_list(args.s_grid), tol=config.tolerance)
+    s_grid = [_parse_complex("--s-grid", part) for part in args.s_grid.split(",")]
+    result = functional_equation_sign(X, s_grid, tol=config.tolerance)
     rows = [
         (row["s"].real, row["s"].imag, row["residual_plus"], row["residual_minus"])
         for row in result["rows"]

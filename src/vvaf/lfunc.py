@@ -20,6 +20,10 @@ that rule, at any s, is one dot product.  The memo grows by one entry
 per (lower limit, rule) pair.  The sign scan reads only the refined
 rule, above its split point and above the mirrored one: two entries.
 
+The truncated-sum route to the completed function weighs each log power j
+with (2 pi)^-s Gamma(s + j), from a Lanczos approximation taken in log
+form; its relative-error bound is part of the reported error.
+
 Everything is pure: the memo holds only values computed from the
 immutable form, so L-values over a grid of arguments can be computed
 concurrently, and a race can at worst compute an entry twice.
@@ -52,6 +56,32 @@ _REFINED_RULE = (32, 32)
 # functional equation agree identically by construction, so the comparison
 # would test nothing
 _FE_SPLIT = 1.3
+# Lanczos's approximation to Gamma with g = 607/128 and fifteen coefficients
+# (Godfrey's set, as in Numerical Recipes, 3rd ed., gammln).  Taken in 40
+# digits, it came within 3.3e-15 relative of mpmath's Gamma on a grid of
+# 1/2 <= Re z <= 100, |Im z| <= 300, largest on Re z = 1/2; _LANCZOS_ERROR
+# bounds that with a margin
+_LANCZOS_G = 607 / 128
+_LANCZOS = (
+    0.99999999999999709182,
+    57.156235665862923517,
+    -59.597960355475491248,
+    14.136097974741747174,
+    -0.49191381609762019978,
+    0.33994649984811888699e-4,
+    0.46523628927048575665e-4,
+    -0.98374475304879564677e-4,
+    0.15808870322491248884e-3,
+    -0.21026444172410488319e-3,
+    0.21743961811521264320e-3,
+    -0.16431810653676389022e-3,
+    0.84418223983852743293e-4,
+    -0.26190838401581408670e-4,
+    0.36899182659531622704e-5,
+)
+_LANCZOS_ERROR = 5e-15
+_LOG_2PI = math.log(2.0 * math.pi)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -139,24 +169,73 @@ def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) ->
     return LValue(s=s, value=value, method="truncated-sum", error=error, rigorous=rigorous, n_terms=n_terms)
 
 
+def _log_gamma_factor(z: complex) -> tuple:
+    """log((2 pi)^-z Gamma(z)) on some branch, and a bound on the relative error of its exponential.
+
+    Lanczos's approximation (SIAM J. Numer. Anal. B 1, 1964) for Re z >= 1/2,
+    with (2 pi)^-z folded into its power: (2 pi)^-z Gamma(z) =
+    (t / 2 pi)^(z - 1/2) e^-t x, where t = z + g - 1/2 and x is the
+    coefficient sum.  The exponential turns every rounding of the exponent
+    into relative error, and the folded exponent is smaller than
+    log Gamma(z) - z log 2 pi.  For Re z < 1/2 the reflection
+    (2 pi)^-z Gamma(z) (2 pi)^(z-1) Gamma(1 - z) = 1 / (2 sin pi z), with the
+    logarithm of 2 sin w taken without the sine where that overflows.  The
+    bound adds the approximation's own error to eight roundings of each term
+    of the exponent and, for the reflection, of pi z carried through the sine.
+    Refuses the poles z = 0, -1, -2, ...
+    """
+    if z.imag == 0 and z.real <= 0 and z.real == math.floor(z.real):
+        raise ValueError(f"Gamma has a pole at {z}")
+    if z.real < 0.5:
+        w = math.pi * z
+        if abs(w.imag) < 40.0:
+            log_two_sine = cmath.log(2.0 * cmath.sin(w))
+        else:
+            # 2 sin w = i e^(-i w) (1 - e^(2 i w)) for Im w > 0, and its
+            # conjugate form below the axis; the last factor is 1 within
+            # e^-80, while sin w itself overflows past |Im w| = 710
+            sign = math.copysign(1.0, w.imag)
+            log_two_sine = sign * 1j * (0.5 * math.pi - w)
+        rest, rest_error = _log_gamma_factor(1.0 - z)
+        error = rest_error + 8.0 * _EPS * (1.0 + abs(log_two_sine) + abs(w / cmath.tan(w)))
+        return -log_two_sine - rest, error
+    y = z - 1.0
+    x = _LANCZOS[0] + sum(c / (y + k) for k, c in enumerate(_LANCZOS[1:], 1))
+    t = y + (_LANCZOS_G + 0.5)
+    power = (y + 0.5) * cmath.log(t / (2.0 * math.pi))
+    log_x = cmath.log(x)
+    return power - t + log_x, _LANCZOS_ERROR + 8.0 * _EPS * (1.0 + abs(power) + abs(t) + abs(log_x))
+
+
 def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) -> LValue:
     """Gamma-completed value assembled from the truncated coefficient sum.
 
     Admissible forms get (2 pi)^-s Gamma(s) L(s); logarithmic slots carry
-    the alternating-sign shifted Gamma factors (-1)^j Gamma(s + j).
+    the alternating-sign shifted Gamma factors (-1)^j Gamma(s + j).  Each
+    weight (-1)^j (2 pi)^-s Gamma(s + j) is one exponential of
+    ``_log_gamma_factor(s + j)`` plus j log 2 pi, so it is finite wherever it
+    is representable, although Gamma(s + j) alone may overflow.  The error is
+    the truncation error carried through the j = 0 weight plus the error
+    that the weights' own bounds put on the value.  Refuses an s at which
+    some Gamma(s + j) has a pole.
     """
     s = _cusp_argument(X, s)
-    # Imported here so that loading the package does not load scipy.
-    from scipy.special import gamma as complex_gamma
-
     sums, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
-    weights = [(-1) ** j * complex_gamma(s + j) for j in range(sums.shape[1])]
-    scale = (2.0 * math.pi) ** (-s)
+    weights, bounds = [], []
+    for j in range(sums.shape[1]):
+        try:
+            exponent, bound = _log_gamma_factor(s + j)
+        except ValueError:
+            raise ValueError(f"Gamma(s + j) has a pole at s = {s}, log power j = {j}") from None
+        exponent += j * _LOG_2PI
+        weights.append((-1) ** j * np.exp(exponent))
+        bounds.append(bound + 4.0 * _EPS * abs(exponent))
     # products of numpy scalars, weight times sum: numpy's array complex
     # product fuses multiply-adds where the CPU has them and can round the
     # last bit otherwise
-    value = scale * (X.P @ np.array([sum(w * x for w, x in zip(weights, row)) for row in sums]))
-    error *= abs(scale * weights[0])  # weights[0] is Gamma(s)
+    value = X.P @ np.array([sum(w * x for w, x in zip(weights, row)) for row in sums])
+    gamma_error = np.abs(X.P) @ (np.abs(sums) @ (np.abs(weights) * bounds))
+    error = error * abs(weights[0]) + float(np.max(gamma_error))
     return LValue(s=s, value=value, method="truncated-sum", error=error, rigorous=rigorous, n_terms=n_terms)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,50 @@ class TestSubcommands:
         assert "n_terms must be at least 1, got -3" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("s", ["0", "-1"])
+    def test_lfunc_eval_refuses_gamma_pole(self, tmp_path, capsys, s):
+        # the truncated sum at a pole of Gamma used to write a nan,nan,nan row
+        argv = ["--out-dir", str(tmp_path), "lfunc", "eval", "--builtin", "delta", f"--s={s}", "--method", "truncated-sum"]
+        assert run(argv) == 2
+        assert f"Gamma(s + j) has a pole at s = {complex(float(s))}, log power j = 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lfunc_eval_large_argument_is_finite(self, tmp_path):
+        # Gamma(200) overflows on its own; the completed value, 9.1e212, does not
+        argv = ["--out-dir", str(tmp_path), "lfunc", "eval", "--builtin", "delta", "--s", "200", "--method", "truncated-sum"]
+        assert run(argv) == 0
+        (row,) = read(tmp_path / "lfunc_eval_delta_truncated-sum.csv").splitlines()[1:]
+        values = [float(x) for x in row.split(",")]
+        assert all(math.isfinite(x) for x in values)
+        assert 9.1e212 < values[3] < 9.2e212
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lfunc", "eval", "--builtin", "delta", "--s", "inf"], "s = (inf+0j) is not finite"),
+            (["lfunc", "eval", "--builtin", "delta", "--s", "8,,9"], "--s: '' is not a complex number"),
+            (["lfunc", "eval", "--builtin", "delta", "--s", "8,6+3x"], "--s: '6+3x' is not a complex number"),
+            (["lfunc", "fe-scan", "--builtin", "delta", "--s-grid", "5,infi"], "s = infj is not finite"),
+            (["lfunc", "fe-scan", "--builtin", "delta", "--s-grid", "5,,6"], "--s-grid: '' is not a complex number"),
+            (["repr", "check", "--builtin", "nonpoly", "--param", "a"], "--param: 'a' is not key=value"),
+            (["repr", "check", "--builtin", "nonpoly", "--param", "a=1k"], "--param: '1k' is not a complex number"),
+        ],
+    )
+    def test_complex_arguments_refused_by_name(self, tmp_path, capsys, argv, message):
+        # an i inside inf used to turn into j, and every bad item failed with
+        # complex()'s own message, which names neither the flag nor the item
+        assert run(["--out-dir", str(tmp_path), *argv]) == 2
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "item", ["8", " 6+3i", "6-3i ", "1j", "i", "-2.5e-1+1e3i", "(6+3i)", "( 1+2i ) ", "3J", "nan", "1_0"]
+    )
+    def test_complex_reader_keeps_every_value(self, item):
+        # every item the old reader took, with each i replaced by j, reads as
+        # it did; str tells nan and -0.0 apart where == does not
+        assert str(cli._parse_complex("--s", item)) == str(complex(item.replace("i", "j")))
+
     @pytest.mark.parametrize("where", ["before", "after"])
     @pytest.mark.parametrize(
         "argv",
@@ -422,18 +467,25 @@ class TestEveryFormCommand:
 
 
 class TestStartup:
-    def test_commands_without_gamma_load_no_scipy(self, tmp_path):
-        argv = ["--out-dir", str(tmp_path), "vvaf", "coeffs", "--builtin", "theta-eta", "-N", "50"]
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        # scipy is a test dependency only: with every scipy import made to
+        # fail, the README commands and the truncated sum over log slots
+        # (sym2-log) and over three components (eta4-theta-eta) still run
+        commands = [(argv, files) for argv, files in README_COMMANDS] + [
+            (f"lfunc eval --builtin {form} --s 9 --method both", {f"lfunc_eval_{form}_{m}.csv" for m in ("truncated-sum", "split-mellin")})
+            for form in ("sym2-log", "eta4-theta-eta")
+        ]
+        runs = [argv.split() + ["--out-dir", str(tmp_path / str(k))] for k, (argv, _) in enumerate(commands)]
         proc = fresh_python(
             "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "from vvaf.cli import run\n"
-            f"code = run({argv!r})\n"
-            "print(json.dumps({'code': code, 'scipy': [m for m in sys.modules if m.split('.')[0] == 'scipy']}))\n"
+            f"print(json.dumps([run(argv) for argv in {runs!r}]))\n"
         )
         assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
-        assert result == {"code": 0, "scipy": []}
-        assert (tmp_path / "coeffs_theta-eta.json").exists()
+        assert json.loads(proc.stdout) == [0] * len(commands)
+        for k, (_, files) in enumerate(commands):
+            assert {path.name for path in (tmp_path / str(k)).iterdir()} == files
 
     def test_fft_products_load_no_scipy(self, tmp_path):
         # eta4-theta-eta at N = 5000 squares operands past _BIG_CONV, so its

@@ -1,8 +1,10 @@
+import cmath
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gamma as complex_gamma
 
 from vvaf.forms import BUILTIN_FORMS, VVAF, builtin_form, delta_form, eta4_theta_eta_form
 from vvaf.lfunc import (
@@ -10,6 +12,7 @@ from vvaf.lfunc import (
     _REFINED_RULE,
     _decay_rate,
     _inversion_factor,
+    _log_gamma_factor,
     completed_L,
     completed_dirichlet_L,
     dirichlet_L,
@@ -46,6 +49,8 @@ def _per_slot_reference(X: VVAF, s: complex, n_terms: int, alpha: float = 0.0) -
 
     The loop the (m, J + 1) array of sums replaced: per slot, a 1-d pairwise
     sum and a suffix cumulative sum, accumulated into per-component totals.
+    The Gamma weights and their bounds come from the package's
+    ``_log_gamma_factor``, so the comparison pins the arrangement of the sums.
     Returns ((value, error) of ``dirichlet_L``, (value, error) of
     ``completed_dirichlet_L``, rigorous).
     """
@@ -53,6 +58,13 @@ def _per_slot_reference(X: VVAF, s: complex, n_terms: int, alpha: float = 0.0) -
     table = X.coefficient_table(n_terms)
     plain = np.zeros(X.m, dtype=complex)
     weighted = np.zeros(X.m, dtype=complex)
+    slot_sums = np.zeros((X.m, table.shape[0]), dtype=complex)
+    weights, bounds = [], []
+    for j in range(table.shape[0]):
+        exponent, bound = _log_gamma_factor(s + j)
+        exponent += j * math.log(2.0 * math.pi)
+        weights.append((-1) ** j * np.exp(exponent))
+        bounds.append(bound + 4.0 * np.finfo(float).eps * abs(exponent))
     max_ratio = 0.0
     sigma = X.coefficient_exponent(alpha)
     rigorous = s.real > sigma + 1.0
@@ -67,7 +79,8 @@ def _per_slot_reference(X: VVAF, s: complex, n_terms: int, alpha: float = 0.0) -
             terms = coeffs * ns ** (-(s + j))
             full = np.sum(terms)
             plain[i] += full
-            weighted[i] += (-1) ** j * complex_gamma(s + j) * full
+            weighted[i] += weights[j] * full
+            slot_sums[i, j] = full
             nz = np.abs(coeffs) > 0
             if rigorous and np.any(nz):
                 max_ratio = max(max_ratio, float(np.max(np.abs(coeffs[nz]) / ns[nz] ** sigma)))
@@ -78,9 +91,9 @@ def _per_slot_reference(X: VVAF, s: complex, n_terms: int, alpha: float = 0.0) -
         error = max_ratio * n_terms ** (sigma - s.real + 1.0) / (s.real - sigma - 1.0) * scale
     else:
         error = float(np.max(np.abs(X.P @ tails), initial=0.0))
-    completed = (2.0 * math.pi) ** (-s) * (X.P @ weighted)
-    completed_error = error * abs((2.0 * math.pi) ** (-s) * complex_gamma(s))
-    return (X.P @ plain, error), (completed, completed_error), rigorous
+    gamma_error = np.abs(X.P) @ (np.abs(slot_sums) @ (np.abs(weights) * bounds))
+    completed_error = error * abs(weights[0]) + float(np.max(gamma_error))
+    return (X.P @ plain, error), (X.P @ weighted, completed_error), rigorous
 
 
 def _non_cusp_form() -> VVAF:
@@ -91,14 +104,82 @@ def _non_cusp_form() -> VVAF:
 _NOT_CUSP = "^L-values are defined here for cusp forms only$"
 
 
+def _mp_gamma_factor(z: complex) -> complex:
+    """(2 pi)^-z Gamma(z) from mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        return complex((2 * mpmath.pi) ** (-z) * mpmath.gamma(z))
+
+
+def _gamma_factor_error(z: complex) -> tuple:
+    """The relative error of ``_log_gamma_factor``'s exponential against mpmath, and its bound."""
+    value, bound = _log_gamma_factor(complex(z))
+    with mpmath.workdps(30):
+        z = mpmath.mpc(z)
+        # taken in mpmath, where neither side underflows
+        error = abs(mpmath.exp(mpmath.mpc(value)) / ((2 * mpmath.pi) ** (-z) * mpmath.gamma(z)) - 1)
+    return float(error), bound
+
+
+def _random_points(seed: int, re: tuple, im: float, count: int = 300) -> list:
+    rng = np.random.default_rng(seed)
+    return [complex(rng.uniform(*re), rng.uniform(-im, im)) for _ in range(count)]
+
+
 class TestGammaPrimitive:
+    """``_log_gamma_factor``, the package's Gamma, against mpmath."""
+
+    @pytest.mark.parametrize(
+        "points, tol",
+        [
+            (_random_points(41, (0.3, 14.0), 3.0), 2e-14),  # every README and benchmark argument
+            (_random_points(42, (0.3, 14.0), 12.0), 1e-13),  # the criterion 7 grid reaches Im s = 12
+            (_random_points(43, (14.0, 250.0), 60.0), 5e-13),  # rounding of the exponent grows with |z|
+        ],
+        ids=["im3", "im12", "large"],
+    )
+    def test_against_mpmath(self, points, tol):
+        for z in points:
+            error, bound = _gamma_factor_error(z)
+            assert error <= tol, z
+            assert error <= bound, z
+
+    def test_log_slot_shifts(self):
+        # completed_dirichlet_L weighs log power j with Gamma(s + j)
+        for s in (8, 7.2, 9, 13, 6 + 3j, 7.9 + 1.3j, 5 - 2j, 0.5 + 0.4j, 10 + 10j, 4, 1 + 2j):
+            for j in range(4):
+                error, bound = _gamma_factor_error(complex(s) + j)
+                assert error <= 2e-14 and error <= bound, (s, j)
+
+    def test_reflection(self):
+        # Re z < 1/2 goes through (2 pi)^-z Gamma(z) (2 pi)^(z-1) Gamma(1 - z) = 1 / (2 sin pi z);
+        # near a pole the rounding of pi z dominates, and the bound says so
+        for z in _random_points(44, (-8.0, 0.5), 3.0) + [-2.999999, -3.5, 1e-10, -0.25 + 12j]:
+            error, bound = _gamma_factor_error(z)
+            assert error <= bound, z
+            distance = min(abs(z - n) for n in range(-9, 1))
+            if distance > 0.1:
+                assert error <= 2e-14, z
+
+    @pytest.mark.parametrize("z", [0.3 + 300j, 0.3 - 300j, -0.3 + 300j, 0.25 - 2000j])
+    def test_reflection_far_from_real_axis(self, z):
+        # sin(pi z) overflows past |Im z| = 226; its logarithm does not
+        error, bound = _gamma_factor_error(z)
+        assert error <= 1e-12 and error <= bound
+
     def test_recurrence_cross_check(self):
+        # Gamma(s + 1) = s Gamma(s), so (2 pi)^-(s+1) Gamma(s + 1) = s (2 pi)^-s Gamma(s) / (2 pi)
         rng = np.random.default_rng(103)
         for _ in range(50):
-            s = complex(rng.uniform(0.5, 6), rng.uniform(-4, 4))
-            lhs = complex_gamma(s + 1)
-            rhs = s * complex_gamma(s)
-            assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+            s = complex(rng.uniform(-6, 6), rng.uniform(-4, 4))
+            lhs = cmath.exp(_log_gamma_factor(s + 1)[0])
+            rhs = s * cmath.exp(_log_gamma_factor(s)[0]) / (2 * math.pi)
+            assert abs(lhs - rhs) <= 5e-14 * abs(rhs)
+
+    @pytest.mark.parametrize("z", [0, -0.0, -1, -2, -17])
+    def test_poles_refused(self, z):
+        with pytest.raises(ValueError, match=r"^Gamma has a pole at "):
+            _log_gamma_factor(complex(z))
 
 
 class TestDirichlet:
@@ -222,12 +303,34 @@ class TestCompleted:
         assert not misses
 
     def test_gamma_factor_identity(self):
-        # the completed series value is exactly (2 pi)^-s Gamma(s) L(s)
+        # the completed series value is (2 pi)^-s Gamma(s) L(s), with Gamma from mpmath
         D = delta_form(800)
         s = 8
         lhs = completed_dirichlet_L(D, s, n_terms=700).value[0]
-        rhs = (2 * math.pi) ** (-s) * complex_gamma(s) * dirichlet_L(D, s, n_terms=700).value[0]
+        rhs = _mp_gamma_factor(s) * dirichlet_L(D, s, n_terms=700).value[0]
         assert abs(lhs - rhs) < 1e-15
+
+    @pytest.mark.parametrize("name", ["delta", "sym2-log"])
+    @pytest.mark.parametrize("s", [0, -1, -4])
+    def test_gamma_pole_refused(self, name, s):
+        # Gamma(s + j) has a pole when s + j is 0, -1, -2, ...; the value used to be NaN
+        message = f"Gamma(s + j) has a pole at s = {complex(s)}, log power j = 0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            completed_dirichlet_L(builtin_form(name, n_terms=300), s, 100)
+
+    def test_large_argument_finite(self):
+        # Gamma(200) overflows a double, (2 pi)^-200 Gamma(200) = 9.1e212 does not;
+        # the product of the two used to be inf * 0 = NaN
+        D = delta_form(200)
+        s = 200
+        got = completed_dirichlet_L(D, s, n_terms=200)
+        taus = D.coefficient_table(200)[0, :, 0]
+        with mpmath.workdps(30):
+            total = mpmath.fsum(mpmath.mpf(float(taus[n].real)) * mpmath.mpf(n) ** -s for n in range(1, 201))
+            reference = complex((2 * mpmath.pi) ** -s * mpmath.gamma(s) * total)
+        assert np.all(np.isfinite(got.value)) and math.isfinite(got.error)
+        assert abs(got.value[0] - reference) <= 1e-13 * abs(reference)
+        assert abs(got.value[0] - reference) <= got.error
 
     def test_split_point_independence(self):
         D = delta_form(400)
