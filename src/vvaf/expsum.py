@@ -32,7 +32,7 @@ def exp_sum(X: VVAF, theta: float, cutoff: int) -> np.ndarray:
     if cutoff < 1:
         return np.zeros(X.m, dtype=complex)
     phases = np.exp(2j * math.pi * theta * np.arange(cutoff))
-    return _twisted_sum(X.coefficient_table(cutoff - 1), X.P, phases)
+    return _twisted_sum(X.coefficient_table(cutoff - 1) @ X.P.T, phases)
 
 
 def _check_theta(theta: float) -> None:
@@ -40,11 +40,11 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be finite, got {theta!r}")
 
 
-def _twisted_sum(table: np.ndarray, P: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Sum over the log powers j of (c[j] P^T)^T phases."""
-    total = (table[0] @ P.T).T @ phases
-    for vectors in table[1:]:
-        total += (vectors @ P.T).T @ phases
+def _twisted_sum(vectors: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Sum over the log powers j of vectors[j]^T phases, with vectors = c P^T."""
+    total = vectors[0].T @ phases
+    for power in vectors[1:]:
+        total += power.T @ phases
     return total
 
 
@@ -83,14 +83,15 @@ def bound_scan(X: VVAF, thetas, cutoffs, alpha: float = 0.0) -> ExpSumScan:
         raise ValueError(f"cutoffs must be at least 1, got {cutoffs[0]}")
     sigma = 1 if X.cusp_form else 2
     exponent = X.coefficient_exponent(alpha)
-    # one read and one set of phases at the largest cutoff; each cutoff sums a prefix
-    table = X.coefficient_table(cutoffs[-1] - 1)
+    # one read, one basis change and one set of phases at the largest cutoff;
+    # each cutoff sums a prefix
+    vectors = X.coefficient_table(cutoffs[-1] - 1) @ X.P.T
     sums = np.zeros((len(thetas), len(cutoffs), X.m), dtype=complex)
     ratios = np.zeros((len(thetas), len(cutoffs)))
     for a, theta in enumerate(thetas):
         phases = np.exp(2j * math.pi * theta * np.arange(cutoffs[-1]))
         for b, cutoff in enumerate(cutoffs):
-            value = _twisted_sum(table[:, :cutoff], X.P, phases[:cutoff])
+            value = _twisted_sum(vectors[:, :cutoff], phases[:cutoff])
             sums[a, b] = value
             envelope = cutoff**exponent * math.log(max(cutoff, 2))
             ratios[a, b] = float(np.linalg.norm(value)) / envelope

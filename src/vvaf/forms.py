@@ -85,9 +85,10 @@ class VVAF:
                 raise ValueError(
                     f"component exponent {e} is not an integer shift of its offset {off}"
                 )
-        leads = [s.leading_exponent for series in nonzero for s in series]
-        self.holomorphic_at_infinity = all(lead >= 0 for lead in leads)
-        self.cusp_form = all(lead > 0 for lead in leads)
+        # the lowest exponent of any nonzero series; None for the zero form
+        self.lowest_exponent = min((s.leading_exponent for series in nonzero for s in series), default=None)
+        self.holomorphic_at_infinity = self.lowest_exponent is None or self.lowest_exponent >= 0
+        self.cusp_form = self.lowest_exponent is None or self.lowest_exponent > 0
         self.is_logarithmic = any(comp.max_log_power() > 0 for comp in self.basis_components)
 
     @property
@@ -229,6 +230,8 @@ def theta_eta_form(n_terms: int = 60) -> VVAF:
         builtin("theta-eta"),
         [theta / eta for theta in _theta_basis(n_terms + 2)],
         diagonalizer=_theta_eta_diagonalizer(),
+        # the second component starts at exponent -1/24; the default offset,
+        # its fractional part 23/24, would leave that term off the grid
         mu_offsets=[Fraction(1, 12), Fraction(-1, 24), Fraction(11, 24)],
     )
 
@@ -248,7 +251,6 @@ def eta4_theta_eta_form(n_terms: int = 60) -> VVAF:
         twisted,
         [eta3 * theta for theta in _theta_basis(n_terms + 2)],
         diagonalizer=_theta_eta_diagonalizer(),
-        mu_offsets=[Fraction(1, 4), Fraction(1, 8), Fraction(5, 8)],
     )
 
 
@@ -256,7 +258,7 @@ def eta4_theta_eta_form(n_terms: int = 60) -> VVAF:
 def delta_form(n_terms: int = 200) -> VVAF:
     """The weight-12 cusp form on the trivial line (24th eta power)."""
     rep = builtin("trivial")
-    return VVAF(12, rep, [eta_power_series(24, n_terms)], mu_offsets=[Fraction(0)])
+    return VVAF(12, rep, [eta_power_series(24, n_terms)])
 
 
 @lru_cache(maxsize=8)
@@ -283,13 +285,7 @@ def sym2_log_form(n_terms: int = 40) -> VVAF:
             coeffs[2] = -0.25 * value
         seeds.append(FracQSeries(1, 1, start, coeffs, order=Fraction(n_terms)))
     block_components = log_recouple("backward", [LogQExpansion({0: s}) for s in seeds])
-    return VVAF(
-        0,
-        rep,
-        block_components,
-        diagonalizer=B,
-        mu_offsets=[Fraction(0), Fraction(0), Fraction(0)],
-    )
+    return VVAF(0, rep, block_components, diagonalizer=B)
 
 
 BUILTIN_FORMS = {

@@ -240,18 +240,10 @@ def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float
 
 
 def _decay_rate(X: VVAF) -> float:
-    # at tau = i h y the nome is exp(-2 pi y) regardless of the width;
-    # normalized series store no leading zero, so the lead is the lowest
-    # occupied exponent
-    leads = [
-        series.leading_exponent
-        for comp in X.basis_components
-        for series in comp.terms.values()
-        if not series.is_zero()
-    ]
-    if not leads:
+    # at tau = i h y the nome is exp(-2 pi y) regardless of the width
+    if X.lowest_exponent is None:
         raise ValueError("X has no nonzero coefficient, so its Mellin integral is zero")
-    return 2.0 * math.pi * float(min(leads))
+    return 2.0 * math.pi * float(X.lowest_exponent)
 
 
 def _node_set(X: VVAF, lower: float, rule: tuple) -> tuple:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -259,8 +258,6 @@ class FracQSeries:
     def __truediv__(self, other):
         if isinstance(other, FracQSeries):
             return _div(self, other)
-        if isinstance(other, (int, float, complex)):
-            return self._scale(1.0 / other)
         return NotImplemented
 
     def _scale(self, factor) -> "FracQSeries":
@@ -421,10 +418,9 @@ def _div(f: FracQSeries, g: FracQSeries) -> FracQSeries:
 # -- built-in scalar series ----------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _euler_product(n_terms: int) -> tuple:
+def _euler_product(n_terms: int) -> np.ndarray:
     """Integer-grid coefficients of prod_{n>=1} (1 - x^n) up to x^n_terms."""
-    out = np.zeros(n_terms + 1)
+    out = np.zeros(n_terms + 1, dtype=complex)
     k = 0
     while True:
         advanced = False
@@ -436,7 +432,7 @@ def _euler_product(n_terms: int) -> tuple:
         if not advanced:
             break
         k += 1
-    return tuple(out)
+    return out
 
 
 def eta_series(n_terms: int) -> FracQSeries:
@@ -454,9 +450,8 @@ def eta_power_series(power: int, n_terms: int) -> FracQSeries:
         raise ValueError("power must be positive")
     if n_terms < 1:
         raise ValueError("need at least one term")
-    euler = np.array(_euler_product(n_terms), dtype=complex)
     acc = np.ones(1, dtype=complex)
-    base = euler
+    base = _euler_product(n_terms)
     p = power
     while p:
         if p & 1:
