@@ -99,22 +99,35 @@ def _finite_or_null(value):
     return value
 
 
+def _csv_field(name: str, row: int, column: str, value) -> str:
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name}, row {row}, column {column}: {value} is not finite; no artifact was written")
+    return _format_float(value)
+
+
 def _write_artifacts(out_dir: Path, artifacts: dict, builtin_name: str, seed: int) -> None:
     """Write ``name -> payload`` pairs: a dict as JSON, a (header, rows) pair as CSV.
 
     Every JSON payload carries the builtin name and the seed, and is
-    strict JSON: a non-finite float is written as null.
+    strict JSON: a non-finite float is written as null.  A CSV value that
+    is a non-finite float is refused, naming the file, the row (counted
+    from the first data row) and the column, before any file is written.
     """
+    texts = {}
     for name, content in artifacts.items():
         if name.endswith(".json"):
             payload = _finite_or_null({**content, "builtin": builtin_name, "seed": seed})
-            text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            texts[name] = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
         else:
             header, rows = content
+            columns = header.split(",")
             lines = [header]
-            for row in rows:
-                lines.append(",".join(_format_float(v) if isinstance(v, float) else str(v) for v in row))
-            text = "\n".join(lines) + "\n"
+            for r, row in enumerate(rows, 1):
+                lines.append(",".join(_csv_field(name, r, column, v) for column, v in zip(columns, row)))
+            texts[name] = "\n".join(lines) + "\n"
+    for name, text in texts.items():
         (out_dir / name).write_text(text)
 
 
@@ -349,12 +362,34 @@ _COMMANDS = (
         "eval",
         (
             _FORM,
-            ("--s", {"required": True, "help": "comma-separated complex arguments, e.g. 8,6+3i"}),
+            (
+                "--s",
+                {
+                    "required": True,
+                    "help": "comma-separated complex arguments, e.g. 8,6+3i; a list that starts with a "
+                    "minus sign follows an equals sign, as in --s=-2.5+1i",
+                },
+            ),
             ("--method", {"choices": ("truncated-sum", "split-mellin", "both"), "default": "both"}),
         ),
         _lfunc_eval,
     ),
-    ("lfunc", "fe-scan", (_FORM, ("--s-grid", {"required": True, "help": "comma-separated complex arguments"})), _lfunc_fescan),
+    (
+        "lfunc",
+        "fe-scan",
+        (
+            _FORM,
+            (
+                "--s-grid",
+                {
+                    "required": True,
+                    "help": "comma-separated complex arguments; a list that starts with a minus sign "
+                    "follows an equals sign, as in --s-grid=-2.5+1i",
+                },
+            ),
+        ),
+        _lfunc_fescan,
+    ),
     (
         "expsum",
         "scan",

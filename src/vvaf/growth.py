@@ -35,7 +35,7 @@ class GrowthReport:
     residual: float
     max_ratio: float
     target: float
-    target_kind: str  # 'cusp', 'holomorphic' or 'degenerate'
+    target_kind: str  # 'cusp', 'holomorphic', 'weakly holomorphic' or 'degenerate'
     n_range: tuple
     verdict: str  # 'PASS', 'FAIL' or 'DEGENERATE'
     alpha_used: float
@@ -72,7 +72,10 @@ def coefficient_growth_report(X: VVAF, nmax: int, alpha: float, log_extra: bool 
     variants are one call apart and the report records which alpha
     entered.  PASS needs the fitted slope within 0.15 of the target and no
     ratio drift beyond a factor 10 across the fit range.  Fewer than two
-    nonzero norms in the range leave nothing to fit: DEGENERATE.
+    nonzero norms in the range leave nothing to fit: DEGENERATE.  A form
+    with a negative exponent is labelled 'weakly holomorphic': the bound
+    holds for forms holomorphic at the cusp only, so FAIL is then expected,
+    as the coefficients grow like exp(c sqrt n).
     """
     norms = coefficient_norms(X, nmax)
     alpha_used = alpha + (X.m if log_extra else 0.0)
@@ -104,7 +107,7 @@ def coefficient_growth_report(X: VVAF, nmax: int, alpha: float, log_extra: bool 
         residual=residual,
         max_ratio=float(np.max(ratios)),
         target=target,
-        target_kind="cusp" if X.cusp_form else "holomorphic",
+        target_kind="cusp" if X.cusp_form else "holomorphic" if X.holomorphic_at_infinity else "weakly holomorphic",
         n_range=(int(ns[0]), int(ns[-1])),
         verdict=verdict,
         alpha_used=alpha_used,

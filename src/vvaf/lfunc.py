@@ -10,15 +10,19 @@ against the continuation, not proved.
 The completed function is computed for every argument by splitting the
 Mellin integral at a finite point and routing the lower piece through the
 inversion element, which is the numerical form of analytic continuation;
-its error estimate is a quadrature heuristic.
+its error estimate is a quadrature heuristic plus a bound on the integrals
+past their cutoff.  The cutoff is derived from the form's lowest exponent
+and a power sigma of y that covers the integrands' y^(s - 1) and
+y^(k - s - 1); sigma is k - 1 for every s with 0 <= Re s <= k.
 
-The form values at the quadrature nodes do not depend on s, so each
-quadrature rule evaluates the form once, in one call of the evaluation
-kernel (which chunks the batch itself), and keeps nodes, weights and
-values in a memo on the form instance; every later Mellin integral with
-that rule, at any s, is one dot product.  The memo grows by one entry
-per (lower limit, rule) pair.  The sign scan reads only the refined
-rule, above its split point and above the mirrored one: two entries.
+The form values at the quadrature nodes do not depend on s beyond sigma,
+so each quadrature rule evaluates the form once, in one call of the
+evaluation kernel (which chunks the batch itself), and keeps nodes,
+weights and values in a memo on the form instance; every later Mellin
+integral with that rule and sigma is one dot product.  The memo grows by
+one entry per (lower limit, rule, sigma).  The sign scan reads only the
+refined rule, above its split point and above the mirrored one: two
+entries for a grid inside the strip.
 
 The truncated-sum route to the completed function weighs each log power j
 with (2 pi)^-s Gamma(s + j), from a Lanczos approximation taken in log
@@ -81,6 +85,9 @@ _LANCZOS = (
 )
 _LANCZOS_ERROR = 5e-15
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_MAX = math.log(np.finfo(float).max)
+# the Mellin integrals end where e^(-rate y) y^sigma has dropped by 2^-53
+_CUTOFF_DROP = 53.0 * math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -129,7 +136,10 @@ def _truncated_sums(X: VVAF, s: complex, n_terms: int, alpha: float) -> tuple:
         first = int(np.count_nonzero(ns <= 0))  # the leading indices with n + mu_i <= 0
         ns = ns[first:]
         coeffs = table[:, first:, i]
-        terms = coeffs * ns**-shifts
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = coeffs * ns**-shifts
+        if not np.all(np.isfinite(terms)):
+            raise ValueError(f"the Dirichlet weight (n + mu)^-(s + j) overflows at s = {s}")
         sums[i] = terms.sum(axis=-1)
         if rigorous:
             nz = np.abs(coeffs) > 0
@@ -161,7 +171,8 @@ def dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float = 0.0) ->
     largest change |P (S_N - S_M)| of the partial sums over
     N/2 <= M <= N; on the built-in forms it was measured to cover the gap
     to ``completed_L`` from the critical line to half a unit past the
-    abscissa, but nothing proves that it does.
+    abscissa, but nothing proves that it does.  Refuses an s at which a
+    term (n + mu_i)^-(s + j) overflows.
     """
     s = _cusp_argument(X, s)
     sums, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
@@ -217,7 +228,8 @@ def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float
     is representable, although Gamma(s + j) alone may overflow.  The error is
     the truncation error carried through the j = 0 weight plus the error
     that the weights' own bounds put on the value.  Refuses an s at which
-    some Gamma(s + j) has a pole.
+    some Gamma(s + j) has a pole, and one at which a weight, a Dirichlet
+    term or the weighted sum overflows.
     """
     s = _cusp_argument(X, s)
     sums, error, rigorous = _truncated_sums(X, s, n_terms, alpha)
@@ -228,14 +240,19 @@ def completed_dirichlet_L(X: VVAF, s: complex, n_terms: int = 1000, alpha: float
         except ValueError:
             raise ValueError(f"Gamma(s + j) has a pole at s = {s}, log power j = {j}") from None
         exponent += j * _LOG_2PI
+        if exponent.real > _LOG_MAX:
+            raise ValueError(f"the Gamma weight (2 pi)^-s Gamma(s + {j}) overflows at s = {s}")
         weights.append((-1) ** j * np.exp(exponent))
         bounds.append(bound + 4.0 * _EPS * abs(exponent))
     # products of numpy scalars, weight times sum: numpy's array complex
     # product fuses multiply-adds where the CPU has them and can round the
     # last bit otherwise
-    value = X.P @ np.array([sum(w * x for w, x in zip(weights, row)) for row in sums])
-    gamma_error = np.abs(X.P) @ (np.abs(sums) @ (np.abs(weights) * bounds))
-    error = error * abs(weights[0]) + float(np.max(gamma_error))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = X.P @ np.array([sum(w * x for w, x in zip(weights, row)) for row in sums])
+        gamma_error = np.abs(X.P) @ (np.abs(sums) @ (np.abs(weights) * bounds))
+        error = error * abs(weights[0]) + float(np.max(gamma_error))
+    if not (np.all(np.isfinite(value)) and math.isfinite(error)):
+        raise ValueError(f"the Gamma-weighted sum overflows at s = {s}")
     return LValue(s=s, value=value, method="truncated-sum", error=error, rigorous=rigorous, n_terms=n_terms)
 
 
@@ -246,22 +263,77 @@ def _decay_rate(X: VVAF) -> float:
     return 2.0 * math.pi * float(X.lowest_exponent)
 
 
-def _node_set(X: VVAF, lower: float, rule: tuple) -> tuple:
-    """Nodes, weights and form values X(i h y) of the panelled rule above ``lower``.
+def _cutoff(lower: float, sigma: int, rate: float) -> float:
+    """The height past which e^(-rate y) y^sigma stays below 2^-53 of its largest value on [lower, inf).
 
-    ``rule`` is (panels, nodes per panel).  None of the returned arrays
-    depends on s, so they are computed once per rule and memoized on the
-    form, keyed by (lower, rule).
+    The largest value sits at y* = max(lower, sigma/rate), and past it the
+    logarithm of the drop, rate (y - y*) - sigma log(y/y*), increases; Newton's
+    method from y* + 53 log 2 / rate finds where it reaches 53 log 2.
+    """
+    peak = max(lower, sigma / rate)
+    y = peak + _CUTOFF_DROP / rate
+    for _ in range(50):
+        step = (rate * (y - peak) - sigma * math.log(y / peak) - _CUTOFF_DROP) / (rate - sigma / y)
+        y -= step
+        if abs(step) <= 1e-12 * y:
+            break
+    return y
+
+
+def _cutoff_bound(lower: float, sigma: int, rate: float) -> float:
+    """A closed-form upper bound on ``_cutoff(lower, sigma, rate)``.
+
+    With y* = max(lower, sigma/rate) the tangent log(y/y*) <= log 2 - 1 + y/(2 y*)
+    and sigma/y* <= rate put the cutoff below 2 y* + 2 (sigma (log 2 - 1) + 53 log 2)/rate;
+    sigma is taken at least 0, which moves the cutoff no closer.
+    """
+    sigma = max(sigma, 0)
+    peak = max(lower, sigma / rate)
+    return 2.0 * peak + 2.0 * (sigma * (math.log(2.0) - 1.0) + _CUTOFF_DROP) / rate
+
+
+def _mellin_sigma(X: VVAF, s: complex, split: float) -> int:
+    """The power sigma of y that sets the Mellin cutoffs at s; refuses an s whose weights overflow.
+
+    sigma = max(k - 1, ceil(max(Re s, k - Re s)) - 1) is at least the power
+    Re s - 1 of the integrand above the split and the power k - Re s - 1 of
+    the mirrored one, and it is k - 1 for every s with 0 <= Re s <= k, so
+    those arguments share one node set per lower limit.  The weights
+    y^(s - 1) and y^(k - s - 1) are checked from the lower of the two lower
+    limits up to ``_cutoff_bound`` of the higher, which covers the
+    integrals at s and at k - s, so an s at which one could overflow is
+    refused before any node set is built.
+    """
+    sigma = max(X.k - 1, math.ceil(max(s.real, X.k - s.real)) - 1)
+    lowers = (split, 1.0 / (X.h * X.h * split))
+    log_low = math.log(min(lowers))
+    log_top = math.log(_cutoff_bound(max(lowers), sigma, _decay_rate(X)))
+    for name, power in (("y^(s - 1)", s.real - 1.0), ("y^(k - s - 1)", X.k - s.real - 1.0)):
+        # the log of the largest weight on the nodes' range, with room for the panel weight
+        if not max(power * log_low, power * log_top) + log_top < _LOG_MAX:
+            raise ValueError(f"the Mellin weight {name} overflows at s = {s}")
+    return sigma
+
+
+def _node_set(X: VVAF, lower: float, rule: tuple, sigma: int) -> tuple:
+    """Nodes, weights and form values X(i h y) of the panelled rule from ``lower`` to the cutoff.
+
+    ``rule`` is (panels, nodes per panel); the cutoff is
+    ``_cutoff(lower, sigma, rate)``.  Also returns the cutoff, the largest
+    log power J and, per plain component, the sum of the term moduli
+    |c| (2 pi y)^j e^(-2 pi e y) at the cutoff, carried through |P|, from
+    which ``_tail_bound`` bounds the neglected tail.  None of these
+    depends on s beyond sigma, so they are computed once and memoized on
+    the form, keyed by (lower, rule, sigma).
     The entries are read-only values; two threads racing on a key compute
     it twice and keep either result.
     """
     memo = vars(X).setdefault("_mellin_nodes", {})
-    key = (lower, rule)
+    key = (lower, rule, sigma)
     entry = memo.get(key)
     if entry is not None:
         return entry
-    rate = _decay_rate(X)
-    upper = lower + max(46.0 / rate, 4.0)  # exp(-46) is below double noise
+    upper = _cutoff(lower, sigma, _decay_rate(X))
     n_panels, nodes_per_panel = rule
     nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
     # geometric panels put more resolution near the lower endpoint where
@@ -272,16 +344,37 @@ def _node_set(X: VVAF, lower: float, rule: tuple) -> tuple:
     ys = (mids[:, None] + halves[:, None] * nodes).ravel()
     ws = (halves[:, None] * weights).ravel()
     values = X.evaluate_many(1j * X.h * ys)
-    for array in (ys, ws, values):
+    moduli = np.zeros(X.m)
+    for i, comp in enumerate(X.basis_components):
+        for j, series in comp.terms.items():
+            exponents = (series.start + np.arange(len(series.coeffs))) / series.D
+            terms = np.abs(series.coeffs) @ np.exp(-2.0 * math.pi * upper * exponents)
+            moduli[i] += (2.0 * math.pi * upper) ** j * terms
+    moduli = np.abs(X.P) @ moduli
+    log_power = max(comp.max_log_power() for comp in X.basis_components)
+    for array in (ys, ws, values, moduli):
         array.setflags(write=False)
-    entry = memo[key] = (ys, ws, values)
+    entry = memo[key] = (ys, ws, values, upper, log_power, moduli)
     return entry
 
 
-def _upper_mellin(X: VVAF, s: complex, lower: float, rule: tuple) -> np.ndarray:
+def _upper_mellin(X: VVAF, s: complex, lower: float, rule: tuple, sigma: int) -> np.ndarray:
     """integral_lower^infinity X(i h y) y^(s-1) dy by panelled Gauss-Legendre."""
-    ys, ws, values = _node_set(X, lower, rule)
+    ys, ws, values = _node_set(X, lower, rule, sigma)[:3]
     return (ws * ys ** (s - 1.0)) @ values
+
+
+def _tail_bound(X: VVAF, s: complex, lower: float, sigma: int) -> np.ndarray:
+    """Per component, a bound on the integral of |X(i h y) y^(s-1)| past the cutoff U.
+
+    There each term |c| (2 pi y)^j e^(-2 pi e y) y^(Re s - 1) is at most its
+    modulus at U times (y/U)^b e^(-rate (y - U)) with b = J + Re s - 1, and
+    (y/U)^b <= e^(b (y - U)/U) for b >= 0, so the tail is at most the moduli
+    at U times U^(Re s - 1) / (rate - max(b, 0)/U).  Both rules share U.
+    """
+    upper, log_power, moduli = _node_set(X, lower, _REFINED_RULE, sigma)[3:]
+    decay = _decay_rate(X) - max(log_power + s.real - 1.0, 0.0) / upper
+    return moduli * (upper ** (s.real - 1.0) / decay) if decay > 0 else np.full(X.m, math.inf)
 
 
 def _inversion_factor(X: VVAF, s: complex) -> complex:
@@ -289,12 +382,12 @@ def _inversion_factor(X: VVAF, s: complex) -> complex:
     return (1j * X.h) ** X.k * complex(X.h) ** (-2.0 * s)
 
 
-def _split_mellin_value(X: VVAF, s: complex, split: float, rule: tuple, rho_S: np.ndarray) -> np.ndarray:
+def _split_mellin_value(X: VVAF, s: complex, split: float, rule: tuple, rho_S: np.ndarray, sigma: int) -> np.ndarray:
     # integral_0^split maps through the inversion element:
     # (ih)^k h^(-2s) rho(S) integral_(1/(h^2 split))^infinity X(ihu) u^(k-s-1) du
     h = X.h
-    upper = _upper_mellin(X, s, split, rule)
-    mirror = _upper_mellin(X, X.k - s, 1.0 / (h * h * split), rule)
+    upper = _upper_mellin(X, s, split, rule, sigma)
+    mirror = _upper_mellin(X, X.k - s, 1.0 / (h * h * split), rule, sigma)
     return upper + _inversion_factor(X, s) * (rho_S @ mirror)
 
 
@@ -305,17 +398,23 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
     every argument; the piece below the split is routed through the
     inversion element, which turns it into another rapidly convergent
     integral.  Both integrals use 24 geometric panels of 24 Gauss-Legendre
-    nodes; the value comes from the refined 32 by 32 rule, and the error
-    estimate, their difference, is heuristic.  Refuses a non-finite s, a
-    split outside (0, inf) and a form with no nonzero coefficient.
+    nodes up to a cutoff derived from the form's decay rate and s (see
+    ``_mellin_sigma``); the value comes from the refined 32 by 32 rule.
+    The error estimate, heuristic, is their difference plus a bound on the
+    integrals past the cutoff.  Refuses a non-finite s, an s at which a
+    quadrature weight overflows, a split outside (0, inf) and a form with
+    no nonzero coefficient.
     """
     s = _cusp_argument(X, s)
     if not 0 < split < math.inf:
         raise ValueError(f"split must be positive and finite, got {split!r}")
+    sigma = _mellin_sigma(X, s, split)
     rho_S = X.rep.evaluate(gen_s())
-    value = _split_mellin_value(X, s, split, _RULE, rho_S)
-    refined = _split_mellin_value(X, s, split, _REFINED_RULE, rho_S)
-    error = float(np.max(np.abs(value - refined)))
+    value = _split_mellin_value(X, s, split, _RULE, rho_S, sigma)
+    refined = _split_mellin_value(X, s, split, _REFINED_RULE, rho_S, sigma)
+    mirror_tail = _tail_bound(X, X.k - s, 1.0 / (X.h * X.h * split), sigma)
+    tail = _tail_bound(X, s, split, sigma) + abs(_inversion_factor(X, s)) * (np.abs(rho_S) @ mirror_tail)
+    error = float(np.max(np.abs(value - refined) + tail))
     return LValue(s=s, value=refined, method="split-mellin", error=error, rigorous=False)
 
 
@@ -330,12 +429,13 @@ def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6) -> dict:
     s_grid = list(s_grid)
     if not s_grid:
         raise ValueError("s_grid is empty; there is no argument to compare the two sides at")
+    # every argument is checked before any node set is built
+    points = [(s, _mellin_sigma(X, s, _FE_SPLIT)) for s in (_cusp_argument(X, s) for s in s_grid)]
     rho_S = X.rep.evaluate(gen_s())
     rows = []
-    for s in s_grid:
-        s = _cusp_argument(X, s)
-        left = rho_S @ _split_mellin_value(X, s, _FE_SPLIT, _REFINED_RULE, rho_S)
-        right = _split_mellin_value(X, X.k - s, _FE_SPLIT, _REFINED_RULE, rho_S)
+    for s, sigma in points:
+        left = rho_S @ _split_mellin_value(X, s, _FE_SPLIT, _REFINED_RULE, rho_S, sigma)
+        right = _split_mellin_value(X, X.k - s, _FE_SPLIT, _REFINED_RULE, rho_S, sigma)
         factor = _inversion_factor(X, s)
         plus = float(np.linalg.norm(left - factor * right))
         minus = float(np.linalg.norm(left + factor * right))

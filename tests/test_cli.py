@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -286,6 +287,48 @@ class TestSubcommands:
         assert run(argv) == 2
         assert f"Gamma(s + j) has a pole at s = {complex(float(s))}, log power j = 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--s", "1e300"], "the Gamma weight (2 pi)^-s Gamma(s + 0) overflows at s = (1e+300+0j)"),
+            (["eval", "--s", "1e-300"], "the Gamma-weighted sum overflows at s = (1e-300+0j)"),
+            (["eval", "--s", "1e300", "--method", "split-mellin"], "the Mellin weight y^(s - 1) overflows at s = (1e+300+0j)"),
+            (["fe-scan", "--s-grid", "6,1e300"], "the Mellin weight y^(s - 1) overflows at s = (1e+300+0j)"),
+        ],
+    )
+    def test_lfunc_refuses_overflowing_argument(self, tmp_path, capsys, argv, message):
+        # each used to exit 0 or 1 with nan or inf in its rows
+        action, *rest = argv
+        assert run(["--out-dir", str(tmp_path), "lfunc", action, "--builtin", "delta", *rest]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_argument_with_leading_minus_after_equals_sign(self, tmp_path, capsys):
+        # as a separate word argparse takes -2.5+1i for an option; the help says so
+        argv = ["--out-dir", str(tmp_path), "lfunc", "eval", "--builtin", "delta", "--s=-2.5+1i", "--method", "split-mellin"]
+        assert run(argv) == 0
+        (row,) = read(tmp_path / "lfunc_eval_delta_split-mellin.csv").splitlines()[1:]
+        assert [float(x) for x in row.split(",")[:2]] == [-2.5, 1.0]
+        for action, flag in (("eval", "--s=-2.5+1i"), ("fe-scan", "--s-grid=-2.5+1i")):
+            with pytest.raises(SystemExit):
+                run(["lfunc", action, "--help"])
+            assert flag in " ".join(capsys.readouterr().out.split())
+
+    def test_non_finite_csv_value_refused_before_any_file(self, tmp_path):
+        artifacts = {
+            "a.json": {"x": math.nan},
+            "b.csv": ("n,value", [(1, 2.0), (2, math.nan)]),
+            "c.csv": ("n,value", [(1, 2.0)]),
+        }
+        message = "b.csv, row 2, column value: nan is not finite; no artifact was written"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli._write_artifacts(tmp_path, artifacts, "delta", 0)
+        assert list(tmp_path.iterdir()) == []
+        # JSON keeps writing a non-finite float as null
+        del artifacts["b.csv"]
+        cli._write_artifacts(tmp_path, artifacts, "delta", 0)
+        assert json.loads(read(tmp_path / "a.json"))["x"] is None
 
     def test_lfunc_eval_large_argument_is_finite(self, tmp_path):
         # Gamma(200) overflows on its own; the completed value, 9.1e212, does not

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vvaf.forms import VVAF, builtin_form, delta_form, eta4_theta_eta_form, sym2_log_form
+from vvaf.forms import VVAF, builtin_form, delta_form, eta4_theta_eta_form, sym2_log_form, theta_eta_form
 from vvaf.growth import (
     coefficient_growth_report,
     coefficient_norms,
@@ -64,6 +64,14 @@ class TestCoefficientGrowth:
             assert cusp_report.target_kind == "cusp"
             assert cusp_report.target <= X.k + 0.0  # k/2 <= k for nonnegative k
             assert cusp_report.verdict == "PASS"
+
+    def test_target_kind_follows_the_lowest_exponent(self):
+        # theta-eta starts at q^(-1/24): the holomorphic bound does not apply
+        # to it, and its coefficients break it, so FAIL is expected
+        weak = coefficient_growth_report(theta_eta_form(400), 390, 0.0)
+        assert (weak.target_kind, weak.verdict) == ("weakly holomorphic", "FAIL")
+        constant_term = VVAF(0, builtin("trivial"), [FracQSeries(1, 1, 0, np.arange(1.0, 61.0), order=60)])
+        assert coefficient_growth_report(constant_term, 50, 0.0).target_kind == "holomorphic"
 
     def test_log_alpha_variant(self):
         S = sym2_log_form(80)

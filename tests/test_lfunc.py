@@ -13,6 +13,8 @@ from vvaf.lfunc import (
     _decay_rate,
     _inversion_factor,
     _log_gamma_factor,
+    _node_set,
+    _tail_bound,
     completed_L,
     completed_dirichlet_L,
     dirichlet_L,
@@ -332,6 +334,69 @@ class TestCompleted:
         assert abs(got.value[0] - reference) <= 1e-13 * abs(reference)
         assert abs(got.value[0] - reference) <= got.error
 
+    @pytest.mark.parametrize("s", [20, 50, 150])
+    def test_large_real_argument_matches_truncated_sum(self, s):
+        # the cutoff follows the peak of y^(s - 1) e^(-2 pi y) at (s - 1)/2 pi;
+        # a cutoff fixed near y = 8.3 was off by 1.1e-7 at s = 20 and 36 % at s = 50
+        D = delta_form(400)
+        series = completed_dirichlet_L(D, s, n_terms=400).value[0]
+        assert abs(completed_L(D, s).value[0] - series) <= 1e-13 * abs(series)
+
+    @pytest.mark.parametrize("s, sigma", [(1, 11), (6 + 3j, 11), (11.5, 11), (20, 19), (-8 + 2j, 19)])
+    def test_tail_bound_covers_the_integral_past_the_cutoff(self, s, sigma):
+        # past the cutoff U the upper integral of Delta is
+        # sum_n tau(n) (2 pi n)^-s Gamma(s, 2 pi n U); the bound, from the
+        # coefficient moduli at U, must cover it and not by much more
+        D = delta_form(400)
+        upper = _node_set(D, 1.0, _REFINED_RULE, sigma)[3]
+        (bound,) = _tail_bound(D, complex(s), 1.0, sigma)
+        taus = D.coefficient_table(5)[0, :, 0]
+        with mpmath.workdps(30):
+            z = mpmath.mpc(s)
+            tail = abs(
+                mpmath.fsum(
+                    int(taus[n].real) * (2 * mpmath.pi * n) ** -z * mpmath.gammainc(z, 2 * mpmath.pi * n * upper)
+                    for n in range(1, 6)
+                )
+            )
+        assert tail <= bound <= 2 * tail
+
+    def test_cutoff_power_in_the_memo_key(self):
+        # every s with 0 <= Re s <= k cuts off at the power k - 1; s = 20 at 19
+        D = fresh(delta_form(300))
+        for s in (1, 6 + 3j, 11.5, 20):
+            completed_L(D, s)
+        assert set(vars(D)["_mellin_nodes"]) == {(1.0, rule, sigma) for rule in ((24, 24), _REFINED_RULE) for sigma in (11, 19)}
+
+    @pytest.mark.parametrize(
+        "s, weight", [(1e300, "y^(s - 1)"), (200, "y^(s - 1)"), (-1e300, "y^(k - s - 1)"), (-190 + 1j, "y^(k - s - 1)")]
+    )
+    def test_overflowing_weight_refused_before_any_node_set(self, s, weight):
+        # at s = 1e300 both methods used to return nan
+        D = fresh(delta_form(300))
+        message = f"the Mellin weight {weight} overflows at s = {complex(s)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            completed_L(D, s)
+        # the scan, split at 1.3, also reads the integral at k - s
+        scan_message = rf"^the Mellin weight y\^\((s - 1|k - s - 1)\) overflows at s = {re.escape(str(complex(s)))}$"
+        with pytest.raises(ValueError, match=scan_message):
+            functional_equation_sign(D, [6, s])
+        assert "_mellin_nodes" not in vars(D)
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            (1e300, "the Gamma weight (2 pi)^-s Gamma(s + 0) overflows"),
+            (1e-300, "the Gamma-weighted sum overflows"),
+            (-170 + 1j, "the Dirichlet weight (n + mu)^-(s + j) overflows"),
+        ],
+    )
+    def test_truncated_sum_overflow_refused(self, s, message):
+        # 1e300 used to give nan, 1e-300 -inf with an inf error
+        message = f"{message} at s = {complex(s)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            completed_dirichlet_L(delta_form(300), s, 200)
+
     def test_split_point_independence(self):
         D = delta_form(400)
         a = completed_L(D, 6 + 3j, split=0.7)
@@ -434,11 +499,14 @@ class TestFunctionalEquation:
 
     @pytest.mark.parametrize("factory", [delta_form, eta4_theta_eta_form])
     def test_scan_memoizes_only_the_refined_rule(self, factory):
-        # the scan reads the refined values only, so it builds no coarse node set
+        # the scan reads the refined values only, so it builds no coarse node
+        # set; both arguments lie in the strip 0 < Re s < k, where the cutoff
+        # power is k - 1
         X = fresh(factory(200))
         functional_equation_sign(X, [1 + 2j, 1.5])
         mirror = 1.0 / (X.h * X.h * _FE_SPLIT)
-        assert set(vars(X)["_mellin_nodes"]) == {(_FE_SPLIT, _REFINED_RULE), (mirror, _REFINED_RULE)}
+        sigma = X.k - 1
+        assert set(vars(X)["_mellin_nodes"]) == {(_FE_SPLIT, _REFINED_RULE, sigma), (mirror, _REFINED_RULE, sigma)}
 
     def test_non_cusp_form_rejected(self):
         with pytest.raises(ValueError, match=_NOT_CUSP):

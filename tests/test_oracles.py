@@ -150,6 +150,47 @@ class TestMellinOracle:
                 assert abs(value - reference) < 1e-12
 
 
+def _tau(nmax: int) -> list:
+    """[0, tau(1), ..., tau(nmax)] as Python ints: the coefficients of q prod (1 - q^n)^24."""
+    prod = [1] + [0] * (nmax - 1)  # prod (1 - q^n)^24 through q^(nmax - 1)
+    for n in range(1, nmax):
+        for _ in range(24):
+            for i in range(nmax - 1, n - 1, -1):
+                prod[i] -= prod[i - n]
+    return [0] + prod
+
+
+# Re s and Im s of the grid on which split-Mellin is checked against the oracle below
+_GRID_RE = (0.5, 1, 2, 3, 4, 6, 8, 9, 10, 11, 11.5)
+_GRID_IM = (0, 1, 3, 6, 10)
+
+
+class TestSplitMellinGridOracle:
+    def test_delta_grid_against_incomplete_gamma(self):
+        # the Mellin integral of Delta split at y = 1, term by term:
+        # Lambda(s) = sum_n tau(n) [(2 pi n)^-s Gamma(s, 2 pi n) + (2 pi n)^(s-12) Gamma(12 - s, 2 pi n)];
+        # terms past n = 20 are below e^(-40 pi) of the first.  The sum is
+        # symmetric under s -> 12 - s and tau is real, so the value at
+        # 12 - conj(s) is the conjugate of the value at s
+        tau = _tau(20)
+        reference = {}
+        with mpmath.workdps(30):
+            for re in _GRID_RE[: len(_GRID_RE) // 2 + 1]:
+                for im in _GRID_IM:
+                    z = mpmath.mpc(re, im)
+                    total = mpmath.mpf(0)
+                    for n in range(1, 21):
+                        x = 2 * mpmath.pi * n
+                        total += tau[n] * (x**-z * mpmath.gammainc(z, x) + x ** (z - 12) * mpmath.gammainc(12 - z, x))
+                    reference[complex(re, im)] = complex(total)
+                    reference[complex(12 - re, im)] = complex(total).conjugate()
+        D = delta_form(400)
+        gaps = {s: abs(completed_L(D, s).value[0] - value) / abs(value) for s, value in reference.items()}
+        assert len(gaps) == len(_GRID_RE) * len(_GRID_IM)
+        worst = max(gaps, key=gaps.get)
+        assert gaps[worst] <= 1e-12, f"gap {gaps[worst]:.2e} at s = {worst}"
+
+
 class TestCoefficientOracle:
     def test_delta_against_pentagonal_recursion(self):
         # independent tau(n) values from the classical divisor-sum recursion
@@ -229,11 +270,6 @@ class TestPeriodRatios:
         top, bottom = (values[s].value[0] for s in pair)
         assert abs(top / bottom / float(_DELTA_PERIOD_RATIOS[pair]) - 1) < 5e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the Mellin cutoff ignores the weight y^(Re s - 1), and the reported error, a difference of two "
-        "rules with the same cutoff, cannot see it (ROADMAP item 9 step A)",
-    )
     @pytest.mark.parametrize("pair", list(_DELTA_PERIOD_RATIOS), ids=lambda pair: f"L{pair[0]}/L{pair[1]}")
     def test_ratio_within_reported_error(self, values, pair):
         # first-order propagation of each value's reported error into the
