@@ -196,6 +196,9 @@ def check_transformation(X: VVAF, gamma: GroupElement, taus) -> float:
 
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+# dividing by the eta series loses digits as n grows: against partition
+# sums, the theta-eta coefficients' relative error passes 1e-6 at n = 635
+_THETA_ETA_MAX_TERMS = 600
 
 
 def _theta_eta_diagonalizer() -> np.ndarray:
@@ -222,8 +225,14 @@ def theta_eta_form(n_terms: int = 60) -> VVAF:
 
     Basis components are the translation eigencombinations; their leading
     offsets 1/12, 23/24 and 11/24 match the exponents of the eigenvalues
-    of the translation image.
+    of the translation image.  Refuses n_terms above 600, past which the
+    division by eta leaves the coefficients inaccurate.
     """
+    if n_terms > _THETA_ETA_MAX_TERMS:
+        raise ValueError(
+            f"theta-eta takes at most {_THETA_ETA_MAX_TERMS} terms, got {n_terms}: "
+            "dividing by the eta series loses digits past that"
+        )
     eta = eta_series(n_terms + 2)
     return VVAF(
         0,

@@ -9,20 +9,22 @@ against the continuation, not proved.
 
 The completed function is computed for every argument by splitting the
 Mellin integral at a finite point and routing the lower piece through the
-inversion element, which is the numerical form of analytic continuation;
-its error estimate is a quadrature heuristic plus a bound on the integrals
-past their cutoff.  The cutoff is derived from the form's lowest exponent
-and a power sigma of y that covers the integrands' y^(s - 1) and
+inversion element, which is the numerical form of analytic continuation.
+Both integrals use one panelled Gauss-Legendre rule.  Its error estimate,
+heuristic, reads three parts off the same nodes: the difference to the
+embedded rule on every other node of each panel, four units of rounding
+on the sum of the moduli of the terms, and a bound on the integrals past
+their cutoff.  The cutoff is derived from the form's lowest exponent and
+a power sigma of y that covers the integrands' y^(s - 1) and
 y^(k - s - 1); sigma is k - 1 for every s with 0 <= Re s <= k.
 
 The form values at the quadrature nodes do not depend on s beyond sigma,
-so each quadrature rule evaluates the form once, in one call of the
+so each lower limit evaluates the form once, in one call of the
 evaluation kernel (which chunks the batch itself), and keeps nodes,
 weights and values in a memo on the form instance; every later Mellin
-integral with that rule and sigma is one dot product.  The memo grows by
-one entry per (lower limit, rule, sigma).  The sign scan reads only the
-refined rule, above its split point and above the mirrored one: two
-entries for a grid inside the strip.
+integral from that lower limit with that sigma is one dot product per
+rule.  The memo grows by one entry per (lower limit, sigma): two entries,
+the split point and its mirror, for a grid inside the strip.
 
 The truncated-sum route to the completed function weighs each log power j
 with (2 pi)^-s Gamma(s + j), from a Lanczos approximation taken in log
@@ -36,6 +38,7 @@ concurrently, and a race can at worst compute an entry twice.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,10 +55,8 @@ __all__ = [
     "functional_equation_sign",
 ]
 
-# the split-Mellin rule (panels, Gauss-Legendre nodes per panel) and its
-# refinement, whose difference is the reported error
-_RULE = (24, 24)
-_REFINED_RULE = (32, 32)
+# the split-Mellin rule: geometric panels of 32 Gauss-Legendre nodes each
+_PANELS = 32
 # the sign scan's split point; at a split of exactly 1 the two sides of the
 # functional equation agree identically by construction, so the comparison
 # would test nothing
@@ -292,57 +293,86 @@ def _cutoff_bound(lower: float, sigma: int, rate: float) -> float:
     return 2.0 * peak + 2.0 * (sigma * (math.log(2.0) - 1.0) + _CUTOFF_DROP) / rate
 
 
+@functools.cache
+def _panel_rule() -> tuple:
+    """The 32-point Gauss-Legendre nodes and weights on [-1, 1], and the weights of its embedded rule.
+
+    The embedded rule is the interpolatory rule on the nodes of even index,
+    every other node, exact to degree 15: its weights solve
+    sum_i w_i P_j(x_i) = integral_-1^1 P_j = 2 [j = 0] for j < 16.  They are
+    positive (the least is 1.2e-2) and sum to 2.  Built on first use, not
+    at import: numpy.polynomial takes about 3 ms to import, which every
+    command that computes no L-value would pay.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    moments = np.zeros(16)
+    moments[0] = 2.0
+    embedded = np.linalg.solve(np.polynomial.legendre.legvander(nodes[::2], 15).T, moments)
+    for array in (nodes, weights, embedded):
+        array.setflags(write=False)
+    return nodes, weights, embedded
+
+
 def _mellin_sigma(X: VVAF, s: complex, split: float) -> int:
     """The power sigma of y that sets the Mellin cutoffs at s; refuses an s whose weights overflow.
 
     sigma = max(k - 1, ceil(max(Re s, k - Re s)) - 1) is at least the power
     Re s - 1 of the integrand above the split and the power k - Re s - 1 of
     the mirrored one, and it is k - 1 for every s with 0 <= Re s <= k, so
-    those arguments share one node set per lower limit.  The weights
+    those arguments share one node set per lower limit.  The powers
     y^(s - 1) and y^(k - s - 1) are checked from the lower of the two lower
     limits up to ``_cutoff_bound`` of the higher, which covers the
-    integrals at s and at k - s, so an s at which one could overflow is
-    refused before any node set is built.
+    integrals at s and at k - s, and so are the quadrature weights times
+    them, with the largest weight of either rule on the widest panel a node
+    set can have there.  So an s at which one could overflow is refused
+    before any node set is built.
     """
     sigma = max(X.k - 1, math.ceil(max(s.real, X.k - s.real)) - 1)
     lowers = (split, 1.0 / (X.h * X.h * split))
-    log_low = math.log(min(lowers))
-    log_top = math.log(_cutoff_bound(max(lowers), sigma, _decay_rate(X)))
+    low = min(lowers)
+    top = _cutoff_bound(max(lowers), sigma, _decay_rate(X))
+    # the last geometric panel from low to top is at least as wide as any
+    # panel of either node set; the power is formed before the weight
+    # multiplies it, so a weight below 1 leaves no room
+    _, weights, embedded = _panel_rule()
+    widest = top * (1.0 - (low / top) ** (1.0 / _PANELS))
+    log_weight = max(math.log(0.5 * widest * max(weights.max(), embedded.max())), 0.0)
+    log_low, log_top = math.log(low), math.log(top)
     for name, power in (("y^(s - 1)", s.real - 1.0), ("y^(k - s - 1)", X.k - s.real - 1.0)):
-        # the log of the largest weight on the nodes' range, with room for the panel weight
-        if not max(power * log_low, power * log_top) + log_top < _LOG_MAX:
+        if not max(power * log_low, power * log_top) + log_weight < _LOG_MAX:
             raise ValueError(f"the Mellin weight {name} overflows at s = {s}")
     return sigma
 
 
-def _node_set(X: VVAF, lower: float, rule: tuple, sigma: int) -> tuple:
-    """Nodes, weights and form values X(i h y) of the panelled rule from ``lower`` to the cutoff.
+def _node_set(X: VVAF, lower: float, sigma: int) -> tuple:
+    """Nodes, weights, embedded weights and form values X(i h y) of the rule from ``lower`` to the cutoff.
 
-    ``rule`` is (panels, nodes per panel); the cutoff is
-    ``_cutoff(lower, sigma, rate)``.  Also returns the cutoff, the largest
-    log power J and, per plain component, the sum of the term moduli
-    |c| (2 pi y)^j e^(-2 pi e y) at the cutoff, carried through |P|, from
-    which ``_tail_bound`` bounds the neglected tail.  None of these
-    depends on s beyond sigma, so they are computed once and memoized on
-    the form, keyed by (lower, rule, sigma).
+    The rule has ``_PANELS`` geometric panels of 32 Gauss-Legendre nodes
+    each up to ``_cutoff(lower, sigma, rate)``; the embedded weights belong
+    to the nodes of even index, every other node of each panel.  Also
+    returns the cutoff, the largest log power J and, per plain component,
+    the sum of the term moduli |c| (2 pi y)^j e^(-2 pi e y) at the cutoff,
+    carried through |P|, from which ``_tail_bound`` bounds the neglected
+    tail.  None of these depends on s beyond sigma, so they are computed
+    once and memoized on the form, keyed by (lower, sigma).
     The entries are read-only values; two threads racing on a key compute
     it twice and keep either result.
     """
     memo = vars(X).setdefault("_mellin_nodes", {})
-    key = (lower, rule, sigma)
+    key = (lower, sigma)
     entry = memo.get(key)
     if entry is not None:
         return entry
     upper = _cutoff(lower, sigma, _decay_rate(X))
-    n_panels, nodes_per_panel = rule
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+    nodes, weights, embedded = _panel_rule()
     # geometric panels put more resolution near the lower endpoint where
     # y^(s-1) varies fastest
-    edges = np.geomspace(lower, upper, n_panels + 1)
+    edges = np.geomspace(lower, upper, _PANELS + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halves = 0.5 * (edges[1:] - edges[:-1])
     ys = (mids[:, None] + halves[:, None] * nodes).ravel()
     ws = (halves[:, None] * weights).ravel()
+    embedded_ws = (halves[:, None] * embedded).ravel()
     values = X.evaluate_many(1j * X.h * ys)
     moduli = np.zeros(X.m)
     for i, comp in enumerate(X.basis_components):
@@ -352,16 +382,10 @@ def _node_set(X: VVAF, lower: float, rule: tuple, sigma: int) -> tuple:
             moduli[i] += (2.0 * math.pi * upper) ** j * terms
     moduli = np.abs(X.P) @ moduli
     log_power = max(comp.max_log_power() for comp in X.basis_components)
-    for array in (ys, ws, values, moduli):
+    for array in (ys, ws, embedded_ws, values, moduli):
         array.setflags(write=False)
-    entry = memo[key] = (ys, ws, values, upper, log_power, moduli)
+    entry = memo[key] = (ys, ws, embedded_ws, values, upper, log_power, moduli)
     return entry
-
-
-def _upper_mellin(X: VVAF, s: complex, lower: float, rule: tuple, sigma: int) -> np.ndarray:
-    """integral_lower^infinity X(i h y) y^(s-1) dy by panelled Gauss-Legendre."""
-    ys, ws, values = _node_set(X, lower, rule, sigma)[:3]
-    return (ws * ys ** (s - 1.0)) @ values
 
 
 def _tail_bound(X: VVAF, s: complex, lower: float, sigma: int) -> np.ndarray:
@@ -370,9 +394,9 @@ def _tail_bound(X: VVAF, s: complex, lower: float, sigma: int) -> np.ndarray:
     There each term |c| (2 pi y)^j e^(-2 pi e y) y^(Re s - 1) is at most its
     modulus at U times (y/U)^b e^(-rate (y - U)) with b = J + Re s - 1, and
     (y/U)^b <= e^(b (y - U)/U) for b >= 0, so the tail is at most the moduli
-    at U times U^(Re s - 1) / (rate - max(b, 0)/U).  Both rules share U.
+    at U times U^(Re s - 1) / (rate - max(b, 0)/U).
     """
-    upper, log_power, moduli = _node_set(X, lower, _REFINED_RULE, sigma)[3:]
+    upper, log_power, moduli = _node_set(X, lower, sigma)[4:]
     decay = _decay_rate(X) - max(log_power + s.real - 1.0, 0.0) / upper
     return moduli * (upper ** (s.real - 1.0) / decay) if decay > 0 else np.full(X.m, math.inf)
 
@@ -382,13 +406,28 @@ def _inversion_factor(X: VVAF, s: complex) -> complex:
     return (1j * X.h) ** X.k * complex(X.h) ** (-2.0 * s)
 
 
-def _split_mellin_value(X: VVAF, s: complex, split: float, rule: tuple, rho_S: np.ndarray, sigma: int) -> np.ndarray:
-    # integral_0^split maps through the inversion element:
-    # (ih)^k h^(-2s) rho(S) integral_(1/(h^2 split))^infinity X(ihu) u^(k-s-1) du
-    h = X.h
-    upper = _upper_mellin(X, s, split, rule, sigma)
-    mirror = _upper_mellin(X, X.k - s, 1.0 / (h * h * split), rule, sigma)
-    return upper + _inversion_factor(X, s) * (rho_S @ mirror)
+def _split_mellin_value(X: VVAF, s: complex, split: float, rho_S: np.ndarray, sigma: int) -> tuple:
+    """The split Mellin integral by the rule and by its embedded rule, and the sum of its terms' moduli.
+
+    integral_0^split maps through the inversion element:
+    (ih)^k h^(-2s) rho(S) integral_(1/(h^2 split))^infinity X(ihu) u^(k-s-1) du,
+    so each of the three is a sum over the nodes above the split plus the
+    factor times rho(S), or their moduli, times the sum over the mirrored
+    nodes.
+    """
+    sums = []
+    for power, lower in ((s - 1.0, split), (X.k - s - 1.0, 1.0 / (X.h * X.h * split))):
+        ys, ws, embedded_ws, values = _node_set(X, lower, sigma)[:4]
+        powers = ys**power
+        weighted = ws * powers
+        sums.append((weighted @ values, (embedded_ws * powers[::2]) @ values[::2], np.abs(weighted) @ np.abs(values)))
+    (upper, upper_embedded, upper_abs), (mirror, mirror_embedded, mirror_abs) = sums
+    factor = _inversion_factor(X, s)
+    return (
+        upper + factor * (rho_S @ mirror),
+        upper_embedded + factor * (rho_S @ mirror_embedded),
+        upper_abs + abs(factor) * (np.abs(rho_S) @ mirror_abs),
+    )
 
 
 def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
@@ -397,10 +436,12 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
     The Mellin integral over heights above the split point converges for
     every argument; the piece below the split is routed through the
     inversion element, which turns it into another rapidly convergent
-    integral.  Both integrals use 24 geometric panels of 24 Gauss-Legendre
+    integral.  Both integrals use 32 geometric panels of 32 Gauss-Legendre
     nodes up to a cutoff derived from the form's decay rate and s (see
-    ``_mellin_sigma``); the value comes from the refined 32 by 32 rule.
-    The error estimate, heuristic, is their difference plus a bound on the
+    ``_mellin_sigma``).  The error estimate, heuristic, adds three parts
+    read off the same nodes: the difference to the embedded rule on every
+    other node of each panel, four units of rounding on the sum of the
+    moduli |w y^(s-1) X(ihy)| over both integrals, and a bound on the
     integrals past the cutoff.  Refuses a non-finite s, an s at which a
     quadrature weight overflows, a split outside (0, inf) and a form with
     no nonzero coefficient.
@@ -410,19 +451,18 @@ def completed_L(X: VVAF, s: complex, split: float = 1.0) -> LValue:
         raise ValueError(f"split must be positive and finite, got {split!r}")
     sigma = _mellin_sigma(X, s, split)
     rho_S = X.rep.evaluate(gen_s())
-    value = _split_mellin_value(X, s, split, _RULE, rho_S, sigma)
-    refined = _split_mellin_value(X, s, split, _REFINED_RULE, rho_S, sigma)
+    value, embedded, abs_sum = _split_mellin_value(X, s, split, rho_S, sigma)
     mirror_tail = _tail_bound(X, X.k - s, 1.0 / (X.h * X.h * split), sigma)
     tail = _tail_bound(X, s, split, sigma) + abs(_inversion_factor(X, s)) * (np.abs(rho_S) @ mirror_tail)
-    error = float(np.max(np.abs(value - refined) + tail))
-    return LValue(s=s, value=refined, method="split-mellin", error=error, rigorous=False)
+    error = float(np.max(np.abs(value - embedded) + 4.0 * _EPS * abs_sum + tail))
+    return LValue(s=s, value=value, method="split-mellin", error=error, rigorous=False)
 
 
 def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6) -> dict:
     """Evaluate both signs over a grid and report which one vanishes.
 
     The residuals are the norms of rho(S) Lambda(s) -/+ (ih)^k h^(-2s)
-    Lambda(k-s), with both values refined split-Mellin values split at 1.3,
+    Lambda(k-s), with both values split-Mellin values split at 1.3,
     not 1, where both residuals would be empty comparisons.  An empty grid,
     which selects nothing, is refused.
     """
@@ -434,8 +474,8 @@ def functional_equation_sign(X: VVAF, s_grid, tol: float = 1e-6) -> dict:
     rho_S = X.rep.evaluate(gen_s())
     rows = []
     for s, sigma in points:
-        left = rho_S @ _split_mellin_value(X, s, _FE_SPLIT, _REFINED_RULE, rho_S, sigma)
-        right = _split_mellin_value(X, X.k - s, _FE_SPLIT, _REFINED_RULE, rho_S, sigma)
+        left = rho_S @ _split_mellin_value(X, s, _FE_SPLIT, rho_S, sigma)[0]
+        right = _split_mellin_value(X, X.k - s, _FE_SPLIT, rho_S, sigma)[0]
         factor = _inversion_factor(X, s)
         plus = float(np.linalg.norm(left - factor * right))
         minus = float(np.linalg.norm(left + factor * right))

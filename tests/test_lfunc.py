@@ -9,7 +9,6 @@ import pytest
 from vvaf.forms import BUILTIN_FORMS, VVAF, builtin_form, delta_form, eta4_theta_eta_form
 from vvaf.lfunc import (
     _FE_SPLIT,
-    _REFINED_RULE,
     _decay_rate,
     _inversion_factor,
     _log_gamma_factor,
@@ -334,10 +333,12 @@ class TestCompleted:
         assert abs(got.value[0] - reference) <= 1e-13 * abs(reference)
         assert abs(got.value[0] - reference) <= got.error
 
-    @pytest.mark.parametrize("s", [20, 50, 150])
+    @pytest.mark.parametrize("s", [20, 50, 150, 181])
     def test_large_real_argument_matches_truncated_sum(self, s):
         # the cutoff follows the peak of y^(s - 1) e^(-2 pi y) at (s - 1)/2 pi;
-        # a cutoff fixed near y = 8.3 was off by 1.1e-7 at s = 20 and 36 % at s = 50
+        # a cutoff fixed near y = 8.3 was off by 1.1e-7 at s = 20 and 36 % at s = 50.
+        # s = 181 was refused while its weights were checked with the cutoff
+        # itself as room for the panel weight
         D = delta_form(400)
         series = completed_dirichlet_L(D, s, n_terms=400).value[0]
         assert abs(completed_L(D, s).value[0] - series) <= 1e-13 * abs(series)
@@ -348,7 +349,7 @@ class TestCompleted:
         # sum_n tau(n) (2 pi n)^-s Gamma(s, 2 pi n U); the bound, from the
         # coefficient moduli at U, must cover it and not by much more
         D = delta_form(400)
-        upper = _node_set(D, 1.0, _REFINED_RULE, sigma)[3]
+        upper = _node_set(D, 1.0, sigma)[4]
         (bound,) = _tail_bound(D, complex(s), 1.0, sigma)
         taus = D.coefficient_table(5)[0, :, 0]
         with mpmath.workdps(30):
@@ -366,13 +367,21 @@ class TestCompleted:
         D = fresh(delta_form(300))
         for s in (1, 6 + 3j, 11.5, 20):
             completed_L(D, s)
-        assert set(vars(D)["_mellin_nodes"]) == {(1.0, rule, sigma) for rule in ((24, 24), _REFINED_RULE) for sigma in (11, 19)}
+        assert set(vars(D)["_mellin_nodes"]) == {(1.0, 11), (1.0, 19)}
 
     @pytest.mark.parametrize(
-        "s, weight", [(1e300, "y^(s - 1)"), (200, "y^(s - 1)"), (-1e300, "y^(k - s - 1)"), (-190 + 1j, "y^(k - s - 1)")]
+        "s, weight",
+        [
+            (1e300, "y^(s - 1)"),
+            (182, "y^(s - 1)"),
+            (200, "y^(s - 1)"),
+            (-1e300, "y^(k - s - 1)"),
+            (-190 + 1j, "y^(k - s - 1)"),
+        ],
     )
     def test_overflowing_weight_refused_before_any_node_set(self, s, weight):
-        # at s = 1e300 both methods used to return nan
+        # at s = 1e300 both methods used to return nan; at s = 182 the power
+        # y^181 passes the largest double below delta's cutoff of 51.2
         D = fresh(delta_form(300))
         message = f"the Mellin weight {weight} overflows at s = {complex(s)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -452,9 +461,9 @@ class TestCompleted:
             assert _decay_rate(X) == 2.0 * math.pi * float(lowest)
 
     def test_node_values_shared_across_calls(self):
-        # the sign scan fills the form's node memo with the refined rule at
-        # split 1.3 and its mirror; later calls reading it, which add the
-        # coarse rule, must match a form with no memo
+        # the sign scan fills the form's node memo at split 1.3 and its
+        # mirror; later calls reading it, which add split 1, must match a
+        # form with no memo
         D = delta_form(400)
         scanned = fresh(D)
         functional_equation_sign(scanned, [5, 7])
@@ -498,15 +507,21 @@ class TestFunctionalEquation:
             assert (row["residual_plus"].hex(), row["residual_minus"].hex()) == (plus.hex(), minus.hex())
 
     @pytest.mark.parametrize("factory", [delta_form, eta4_theta_eta_form])
-    def test_scan_memoizes_only_the_refined_rule(self, factory):
-        # the scan reads the refined values only, so it builds no coarse node
-        # set; both arguments lie in the strip 0 < Re s < k, where the cutoff
-        # power is k - 1
+    def test_one_node_set_per_lower_limit(self, factory):
+        # the rule and its embedded rule read the same nodes, so each lower
+        # limit evaluates the form once; every argument lies in the strip
+        # 0 < Re s < k, where the cutoff power is k - 1
         X = fresh(factory(200))
+        batches = []
+        evaluate_many = X.evaluate_many
+        X.evaluate_many = lambda taus: batches.append(len(taus)) or evaluate_many(taus)
         functional_equation_sign(X, [1 + 2j, 1.5])
-        mirror = 1.0 / (X.h * X.h * _FE_SPLIT)
-        sigma = X.k - 1
-        assert set(vars(X)["_mellin_nodes"]) == {(_FE_SPLIT, _REFINED_RULE, sigma), (mirror, _REFINED_RULE, sigma)}
+        for s in (1 + 2j, 1.5):
+            completed_L(X, s)
+            completed_L(X, s, split=_FE_SPLIT)
+        lowers = {1.0, 1.0 / (X.h * X.h), _FE_SPLIT, 1.0 / (X.h * X.h * _FE_SPLIT)}
+        assert set(vars(X)["_mellin_nodes"]) == {(lower, X.k - 1) for lower in lowers}
+        assert batches == [32 * 32] * len(lowers)
 
     def test_non_cusp_form_rejected(self):
         with pytest.raises(ValueError, match=_NOT_CUSP):

@@ -185,10 +185,46 @@ class TestSplitMellinGridOracle:
                     reference[complex(re, im)] = complex(total)
                     reference[complex(12 - re, im)] = complex(total).conjugate()
         D = delta_form(400)
-        gaps = {s: abs(completed_L(D, s).value[0] - value) / abs(value) for s, value in reference.items()}
+        values = {s: completed_L(D, s) for s in reference}
+        gaps = {s: abs(values[s].value[0] - value) for s, value in reference.items()}
         assert len(gaps) == len(_GRID_RE) * len(_GRID_IM)
-        worst = max(gaps, key=gaps.get)
-        assert gaps[worst] <= 1e-12, f"gap {gaps[worst]:.2e} at s = {worst}"
+        relative = {s: gap / abs(reference[s]) for s, gap in gaps.items()}
+        worst = max(relative, key=relative.get)
+        assert relative[worst] <= 1e-12, f"gap {relative[worst]:.2e} at s = {worst}"
+        # the reported error covers the gap everywhere, and by a median
+        # factor of about 7, not orders of magnitude
+        short = {s: (values[s].error, gap) for s, gap in gaps.items() if values[s].error < gap}
+        assert not short, f"error below the gap at {short}"
+        assert np.median([values[s].error / max(gap, 1e-300) for s, gap in gaps.items()]) <= 10
+
+    @pytest.mark.parametrize("s", [1, 1 + 5j, 0.5 + 10j, 0.7 + 0.5j, 1.5 + 3j])
+    def test_eta4_against_incomplete_gamma(self, s):
+        # each diagonal component sum_n c[n, i] q^(n + mu_i) integrates term by
+        # term: from the split 1 up, lambda^-s Gamma(s, lambda) with
+        # lambda = 2 pi (n + mu_i), and from the mirrored 1/h^2 up,
+        # lambda^(s - k) Gamma(k - s, lambda / h^2); P maps both to the form,
+        # and the mirror enters through (ih)^k h^(-2s) rho(S).  Terms past
+        # n = 40 are below e^(-80 pi) of the first
+        Y = eta4_theta_eta_form(100)
+        table = Y.coefficient_table(40)[0]
+        z = mpmath.mpc(s)
+        upper, mirror = np.zeros(Y.m, dtype=complex), np.zeros(Y.m, dtype=complex)
+        with mpmath.workdps(30):
+            for i, offset in enumerate(Y.mu_offsets):
+                above = below = mpmath.mpc(0)
+                for n, c in enumerate(table[:, i]):
+                    if c == 0:
+                        continue
+                    lam = 2 * mpmath.pi * (n + mpmath.mpf(offset.numerator) / offset.denominator)
+                    above += complex(c) * lam**-z * mpmath.gammainc(z, lam)
+                    below += complex(c) * lam ** (z - Y.k) * mpmath.gammainc(Y.k - z, lam / Y.h**2)
+                upper[i], mirror[i] = complex(above), complex(below)
+        factor = (1j * Y.h) ** Y.k * complex(Y.h) ** (-2.0 * complex(s))
+        reference = Y.P @ upper + factor * (Y.rep.evaluate(gen_s()) @ (Y.P @ mirror))
+        got = completed_L(Y, s)
+        gap = float(np.max(np.abs(got.value - reference)))
+        # at 0.7 + 0.5i the error from two rules' difference, 1.6e-15, fell below the gap, 1.8e-15
+        assert gap <= got.error <= 100 * gap + 1e-15 * float(np.max(np.abs(reference)))
 
 
 class TestCoefficientOracle:
@@ -245,6 +281,34 @@ class TestThetaEtaOracle:
         reference = np.column_stack([np.array(comp0, dtype=float), math.sqrt(0.5) * np.array(comp1, dtype=float)])
         got = theta_eta_form(nmax).basis_coefficients(nmax)[:, :2]
         assert np.max(np.abs(got - reference) / reference) < 1e-12
+
+    def test_accurate_up_to_the_largest_accepted_order(self):
+        # at the 600 terms theta_eta_form accepts, every component is within
+        # 1e-6 relative of its partition sum (3.9e-7 measured); the error
+        # first passes 1e-6 at n = 635.  (theta3 - theta4)/(sqrt 2 eta) at
+        # n + 11/24 is 2 sqrt 2 sum_k p(n - 2k(k+1))
+        nmax = 600
+        p = _partitions(nmax)
+
+        def shifted_sum(n, gaps):
+            return sum(p[n - gap] for gap in gaps if gap <= n)
+
+        triangular = [m * (m + 1) // 2 for m in range(nmax)]
+        twice_squares = [2 * k * k for k in range(1, nmax)]
+        twice_pronic = [2 * k * (k + 1) for k in range(nmax)]
+        reference = np.column_stack(
+            [
+                [2.0 * shifted_sum(n, triangular) for n in range(nmax + 1)],
+                [math.sqrt(0.5) * (2 * p[n] + 4 * shifted_sum(n, twice_squares)) for n in range(nmax + 1)],
+                [2.0 * math.sqrt(2.0) * shifted_sum(n, twice_pronic) for n in range(nmax + 1)],
+            ]
+        )
+        got = theta_eta_form(nmax).basis_coefficients(nmax)
+        assert np.max(np.abs(got - reference) / reference) < 1e-6
+
+    def test_refused_past_the_accurate_order(self):
+        with pytest.raises(ValueError, match="^theta-eta takes at most 600 terms, got 601: dividing by the eta series"):
+            theta_eta_form(601)
 
 
 # Kohnen and Zagier, "Modular forms with rational periods" (1984): the

@@ -470,7 +470,7 @@ class TestKernelWork:
         return counts
 
     def test_split_mellin_nodes_skip_underflowing_slots(self, monkeypatch):
-        ys = lfunc._node_set(delta_form(2100), 1.0, lfunc._REFINED_RULE, 11)[0]
+        ys = lfunc._node_set(delta_form(2100), 1.0, 11)[0]
         (series,) = _stored_series(delta_form(2100))
         counts = self._count_complex_exps(monkeypatch)
         series.evaluate_many(1j * ys)
